@@ -12,7 +12,6 @@
 #include "query/tuple.h"
 #include "pisa/register.h"
 #include "runtime/report.h"
-#include "util/flat_table.h"
 #include "util/hash.h"
 #include "util/log.h"
 #include "util/time.h"
@@ -575,7 +574,10 @@ Collector::Collector(const planner::Plan& plan, DistributedConfig cfg,
   ref_pipelines_ = std::move(build.pipelines);
   nodes_.resize(cfg_.nodes);
   shards_.resize(cfg_.switches);
-  for (auto& s : shards_) s.partials.resize(ref_pipelines_.size());
+  for (auto& s : shards_) {
+    s.partials.resize(ref_pipelines_.size());
+    polled_.push_back(&s.partials);
+  }
   sp_->set_winner_sink([this](const std::string& table, std::span<const Tuple> keys) {
     winner_installs_.emplace_back(table, std::vector<Tuple>(keys.begin(), keys.end()));
   });
@@ -760,47 +762,6 @@ std::string Collector::handle(nt::Frame& f) {
   }
 }
 
-void Collector::combine_partials(WindowStats& /*window*/) {
-  // The Fleet's combine_partials, verbatim, over the collector's per-shard
-  // buffers: fold key-wise across ascending shard index per pipeline, so
-  // executor-table insertion order — and therefore every downstream result
-  // — matches the in-process close bit for bit.
-  util::FlatMap<std::uint64_t> merged;
-  std::vector<std::uint64_t> hashes;
-  std::vector<Tuple> aggregates;
-  for (std::size_t p = 0; p < ref_pipelines_.size(); ++p) {
-    if (!ref_pipelines_[p]->has_stateful_tail()) continue;
-    const pisa::CompiledSwitchQuery& pipe = *ref_pipelines_[p];
-    const query::ReduceFn fn = pipe.tail_reduce_fn();
-    std::uint64_t logical = 0;
-    merged.clear();
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      auto& part = shards_[i].partials[p];
-      const std::size_t n = part.keys.size();
-      logical += n;
-      hashes.resize(n);
-      query::hash_tuples({part.keys.data(), n}, hashes.data());
-      for (std::size_t j = 0; j < n; ++j) {
-        if (j + 4 < n) merged.prefetch(hashes[j + 4]);
-        auto [slot, inserted] =
-            merged.try_emplace(std::move(part.keys[j]), hashes[j], part.values[j]);
-        if (!inserted) *slot = pisa::apply_reduce(fn, *slot, part.values[j]);
-      }
-      part.keys.clear();
-      part.values.clear();
-    }
-    if (logical == 0) continue;
-    aggregates.clear();
-    aggregates.reserve(merged.size());
-    for (const auto& e : merged.entries()) {
-      aggregates.push_back(pipe.shape_polled(e.key, e.value));
-    }
-    const auto& o = pipe.options();
-    sp_->ingest_polled(o.qid, o.level, o.source_index, pipe.poll_entry_op(), logical,
-                       aggregates);
-  }
-}
-
 std::string Collector::close_current(const WindowFn& on_window) {
   WindowStats ws;
   ws.window_index = window_counter_;
@@ -837,7 +798,7 @@ std::string Collector::close_current(const WindowFn& on_window) {
   ws.contribution_mask = mask;
   ws.partial = mask != full_mask();
   // 2. Fold polled register partials and feed the SP (poll phase).
-  combine_partials(ws);
+  sp_->ingest_partials(ref_pipelines_, polled_);
   // 3. Coarse-to-fine close. No local switches — the winner sink captures
   //    every install, and the nodes replay them before their next window.
   //    control_update_millis stays 0: the modelled install latency is paid

@@ -220,7 +220,6 @@ class Collector {
 
   [[nodiscard]] std::string handle(net::transport::Frame& f);
   [[nodiscard]] std::string close_current(const WindowFn& on_window);
-  void combine_partials(WindowStats& ws);
   void send_feedback(NodeState& node, std::uint16_t index);
   [[nodiscard]] bool all_ended() const;
   [[nodiscard]] bool all_done() const;
@@ -237,6 +236,8 @@ class Collector {
   std::vector<std::unique_ptr<pisa::CompiledSwitchQuery>> ref_pipelines_;
   std::vector<NodeState> nodes_;
   std::vector<ShardBuffer> shards_;  // indexed by global shard
+  // Every shard's partials, in shard order (StreamProcessor::ingest_partials).
+  std::vector<std::vector<pisa::CompiledSwitchQuery::PolledPartial>*> polled_;
   std::vector<std::pair<std::string, std::vector<query::Tuple>>> winner_installs_;
   std::uint64_t window_counter_ = 0;
   Stats stats_;

@@ -9,7 +9,6 @@
 #include "obs/tracing.h"
 #include "runtime/control_plane.h"
 #include "runtime/fleet.h"
-#include "runtime/runtime.h"
 #include "util/log.h"
 #include "util/time.h"
 
@@ -245,13 +244,8 @@ EngineBuilder::build() {
   if (!planned) return planned.error();
   auto control = std::move(planned->control);
   planner::Plan plan = std::move(planned->plan);
-  std::unique_ptr<TelemetryEngine> engine;
-  if (switches_ <= 1 && worker_threads_ == 0) {
-    engine = std::make_unique<Runtime>(std::move(plan), batch_size_, faults_);
-  } else {
-    engine = std::make_unique<Fleet>(std::move(plan), switches_, worker_threads_, batch_size_,
-                                     faults_, pin_workers_);
-  }
+  std::unique_ptr<TelemetryEngine> engine = std::make_unique<Fleet>(
+      std::move(plan), switches_, worker_threads_, batch_size_, faults_, pin_workers_);
   engine->control_ = std::move(control);
   return engine;
 }

@@ -1,10 +1,13 @@
 // The unified driver interface.
 //
-// Every execution driver — single-switch `Runtime`, serial or parallel
-// `Fleet` — is a TelemetryEngine: packets go in via ingest(), windows close
-// via close_window(), and run_trace() provides the shared trace-replay
-// window loop. Tools, examples, benchmarks and tests program against this
-// interface.
+// There is one in-process driver, `Fleet` (runtime/fleet.h): one switch
+// or many, inline or on worker threads — a single-switch `Runtime` is just
+// its one-switch, inline construction. It is a TelemetryEngine: packets
+// go in via ingest(), windows close via close_window(), and run_trace()
+// provides the shared trace-replay window loop. Tools, examples,
+// benchmarks and tests program against this interface; the distributed
+// Collector (runtime/distributed.h) closes windows through the same
+// StreamProcessor.
 //
 // Engines are built with EngineBuilder, which owns the whole setup story:
 // topology, batching, fault injection, training traffic, tenants, and the
@@ -95,8 +98,8 @@ class TelemetryEngine {
   std::unique_ptr<ControlPlane> control_;
 };
 
-// Builds a TelemetryEngine: single-switch Runtime for {switches == 1,
-// worker_threads == 0}, a (possibly parallel) Fleet otherwise.
+// Builds a TelemetryEngine: a Fleet of the requested topology (one switch,
+// inline, by default).
 //
 //   auto engine = runtime::EngineBuilder()
 //                     .topology(4, 2)
@@ -124,7 +127,7 @@ class EngineBuilder {
   // Deterministic fault injection (DESIGN.md "Fault model & degradation").
   EngineBuilder& faults(fault::FaultSpec spec);
   // Pin fleet workers to cores (round-robin over the process's allowed
-  // set); no effect on the single-switch Runtime or with 0 worker threads.
+  // set); no effect with 0 worker threads.
   EngineBuilder& pin_workers(bool pin);
   EngineBuilder& planner(planner::PlannerConfig cfg);
   // Training traffic for the planner's cost estimators (required).

@@ -1,8 +1,8 @@
 // Shared switch-program builder for every driver.
 //
-// Runtime and Fleet used to duplicate the compile-and-collect loop that
-// turns a planner::Plan into installable pipelines; this helper is the
-// single copy, and it adds partial recompilation: pipelines handed back
+// The single copy of the compile-and-collect loop that turns a
+// planner::Plan into installable pipelines, used by the Fleet and both
+// distributed roles. It adds partial recompilation: pipelines handed back
 // from the previous program (Switch::release_pipelines) are reused — after
 // a runtime-state reset — whenever their compile key (query, source, level,
 // partition, sizing, hash seed, and the exact augmented chain) is

@@ -3,6 +3,7 @@
 #include <cassert>
 
 #include "obs/journal.h"
+#include "pisa/register.h"
 #include "util/flat_table.h"
 
 namespace sonata::runtime {
@@ -206,6 +207,59 @@ void StreamProcessor::ingest_polled(query::QueryId qid, int level, int source_in
   LevelExec& le = *level_exec(qid, level);
   le.tuples_in += logical_tuples;
   le.exec->ingest_batch(src_idx, aggregates, entry_op);
+}
+
+void StreamProcessor::ingest_partials(
+    std::span<const std::unique_ptr<pisa::CompiledSwitchQuery>> pipelines,
+    std::span<std::vector<pisa::CompiledSwitchQuery::PolledPartial>* const> shards) {
+  if (shards.empty()) return;
+  util::FlatMap<std::uint64_t> merged;
+  std::vector<std::uint64_t> hashes;
+  std::vector<Tuple> aggregates;
+  for (std::size_t p = 0; p < pipelines.size(); ++p) {
+    if (!pipelines[p]->has_stateful_tail()) continue;
+    const pisa::CompiledSwitchQuery& pipe = *pipelines[p];
+    std::uint64_t logical = 0;
+    aggregates.clear();
+    if (shards.size() == 1) {
+      auto& part = (*shards.front())[p];
+      logical = part.keys.size();
+      aggregates.reserve(part.keys.size());
+      for (std::size_t j = 0; j < part.keys.size(); ++j) {
+        aggregates.push_back(pipe.shape_polled(part.keys[j], part.values[j]));
+      }
+      part.keys.clear();
+      part.values.clear();
+    } else {
+      const query::ReduceFn fn = pipe.tail_reduce_fn();
+      merged.clear();
+      for (auto* shard : shards) {
+        auto& part = (*shard)[p];
+        const std::size_t n = part.keys.size();
+        logical += n;
+        // Batch-hash the shard's keys (8 per AVX2 lane-pass), then probe
+        // with the table's first chunk prefetched a few keys ahead — the
+        // fold walks the index without stalling on its cache misses.
+        hashes.resize(n);
+        query::hash_tuples({part.keys.data(), n}, hashes.data());
+        for (std::size_t j = 0; j < n; ++j) {
+          if (j + 4 < n) merged.prefetch(hashes[j + 4]);
+          auto [slot, inserted] =
+              merged.try_emplace(std::move(part.keys[j]), hashes[j], part.values[j]);
+          if (!inserted) *slot = pisa::apply_reduce(fn, *slot, part.values[j]);
+        }
+        part.keys.clear();
+        part.values.clear();
+      }
+      aggregates.reserve(merged.size());
+      for (const auto& e : merged.entries()) {
+        aggregates.push_back(pipe.shape_polled(e.key, e.value));
+      }
+    }
+    if (logical == 0) continue;
+    const auto& o = pipe.options();
+    ingest_polled(o.qid, o.level, o.source_index, pipe.poll_entry_op(), logical, aggregates);
+  }
 }
 
 void StreamProcessor::close_levels(WindowStats& window,

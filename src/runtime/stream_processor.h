@@ -4,10 +4,10 @@
 // it: per-(query, level) stream executors, the per-level source remapping,
 // mirrored-record routing + accounting (the emitter), end-of-window
 // register polls, and the coarse-to-fine close that installs each level's
-// winner keys into the next level's dynamic filter tables. `Runtime` (one
-// switch) and `Fleet` (many switches) used to duplicate all of it; the
-// StreamProcessor is now the single source of truth, and the drivers only
-// own their data planes and the window loop.
+// winner keys into the next level's dynamic filter tables, and the
+// key-wise fold of several switches' register polls. The in-process
+// `Fleet` and the distributed `Collector` both close windows through it;
+// the drivers only own their data planes and the window loop.
 #pragma once
 
 #include <cstdint>
@@ -213,6 +213,23 @@ class StreamProcessor {
   void ingest_polled(query::QueryId qid, int level, int source_index,
                      std::size_t entry_op, std::uint64_t logical_tuples,
                      std::span<query::Tuple> aggregates);
+
+  // The shard fold of the window close, shared by every driver that polls
+  // more than one switch: `shards` holds each participating switch's
+  // register polls, one PolledPartial per entry of `pipelines` (every
+  // switch runs that identical program), in ascending switch order. Per
+  // pipeline the keys are folded with the tail's reduce fn — first-
+  // appearance order across the shards reproduces the executor-table
+  // insertion order a shard-by-shard poll would produce, and every tail
+  // reduce (sum/max/min/bit-or) is associative and commutative, so one
+  // merged ingest is bit-identical to ingesting each shard in sequence —
+  // and each merged key is shaped and ingested once (ingest_polled, with
+  // the pre-fold count as `logical_tuples`). A single shard's register
+  // entries are already unique, so with one shard its keys are shaped
+  // straight in. Consumes the partials (left empty).
+  void ingest_partials(
+      std::span<const std::unique_ptr<pisa::CompiledSwitchQuery>> pipelines,
+      std::span<std::vector<pisa::CompiledSwitchQuery::PolledPartial>* const> shards);
 
   // Close every level coarse-to-fine: finest outputs land in
   // `window.results`; coarse winners install into the next level's dynamic

@@ -5,8 +5,8 @@
 
 #include "planner/planner.h"
 #include "queries/catalog.h"
+#include "runtime/fleet.h"
 #include "runtime/report.h"
-#include "runtime/runtime.h"
 #include "stream/sparkgen.h"
 #include "test_trace.h"
 #include "util/rng.h"
@@ -206,21 +206,24 @@ TEST(Replan, OverflowTriggersRecommendationAndReplanFixesIt) {
   bad.min_register_entries = 16;
   bad.register_depth = 1;
   const auto bad_plan = planner::Planner(bad).plan(qs, sc.trace);
-
-  Runtime rt(bad_plan);
-  rt.set_replan_policy({.overflow_threshold = 0.01, .consecutive_windows = 2});
-  (void)rt.run_trace(sc.trace);
-  ASSERT_TRUE(rt.replan_recommended()) << "undersized registers must overflow";
-
   // The operator's reaction (paper §5): re-plan with the observed traffic.
   planner::PlannerConfig good;
   good.mode = planner::PlanMode::kMaxDP;
   const auto new_plan = planner::Planner(good).plan(qs, sc.trace);
-  Runtime rt2(new_plan);
-  rt2.set_replan_policy({.overflow_threshold = 0.01, .consecutive_windows = 2});
-  (void)rt2.run_trace(sc.trace);
-  EXPECT_FALSE(rt2.replan_recommended());
-  EXPECT_LT(rt2.overflow_fraction(), rt.overflow_fraction());
+
+  for (const testing::Topology& topo : testing::kPolicyTopologies) {
+    SCOPED_TRACE(testing::topology_label(topo));
+    Fleet rt(bad_plan, topo.switches, topo.workers);
+    rt.set_replan_policy({.overflow_threshold = 0.01, .consecutive_windows = 2});
+    (void)rt.run_trace(sc.trace);
+    ASSERT_TRUE(rt.replan_recommended()) << "undersized registers must overflow";
+
+    Fleet rt2(new_plan, topo.switches, topo.workers);
+    rt2.set_replan_policy({.overflow_threshold = 0.01, .consecutive_windows = 2});
+    (void)rt2.run_trace(sc.trace);
+    EXPECT_FALSE(rt2.replan_recommended());
+    EXPECT_LT(rt2.overflow_fraction(), rt.overflow_fraction());
+  }
 }
 
 TEST(Replan, QuietTrafficNeverTriggers) {
@@ -229,9 +232,13 @@ TEST(Replan, QuietTrafficNeverTriggers) {
   qs.push_back(queries::make_newly_opened_tcp(sc.thresholds, util::seconds(3)));
   planner::PlannerConfig cfg;
   cfg.mode = planner::PlanMode::kMaxDP;
-  Runtime rt(planner::Planner(cfg).plan(qs, sc.trace));
-  (void)rt.run_trace(sc.trace);
-  EXPECT_FALSE(rt.replan_recommended());
+  const auto plan = planner::Planner(cfg).plan(qs, sc.trace);
+  for (const testing::Topology& topo : testing::kPolicyTopologies) {
+    SCOPED_TRACE(testing::topology_label(topo));
+    Fleet rt(plan, topo.switches, topo.workers);
+    (void)rt.run_trace(sc.trace);
+    EXPECT_FALSE(rt.replan_recommended());
+  }
 }
 
 }  // namespace

@@ -183,25 +183,36 @@ TEST(Mitigation, DetectionsInstallDropRulesAndCutLoad) {
   cfg.mode = PlanMode::kMaxDP;
   const Plan plan = Planner(cfg).plan(qs, sc.trace);
 
-  Runtime rt(plan);
-  rt.enable_mitigation({.qid = 1, .output_column = "dIP", .packet_field = "dIP"});
-  const auto windows = rt.run_trace(sc.trace);
+  for (const testing::Topology& topo : testing::kPolicyTopologies) {
+    SCOPED_TRACE(testing::topology_label(topo));
+    Fleet rt(plan, topo.switches, topo.workers);
+    rt.enable_mitigation({.qid = 1, .output_column = "dIP", .packet_field = "dIP"});
+    const auto windows = rt.run_trace(sc.trace);
 
-  // First detection window installs the drop rule; later windows drop the
-  // flood at line rate and stop re-detecting the (now silenced) victim.
-  std::size_t first_detect = windows.size();
-  for (std::size_t w = 0; w < windows.size(); ++w) {
-    if (detections_for(windows[w], 1).contains(sc.syn_victim)) {
-      first_detect = std::min(first_detect, w);
+    // First detection window installs the drop rule; later windows drop the
+    // flood at line rate and stop re-detecting the (now silenced) victim.
+    std::size_t first_detect = windows.size();
+    for (std::size_t w = 0; w < windows.size(); ++w) {
+      if (detections_for(windows[w], 1).contains(sc.syn_victim)) {
+        first_detect = std::min(first_detect, w);
+      }
     }
+    ASSERT_LT(first_detect, windows.size());
+    EXPECT_EQ(windows[first_detect].dropped_packets, 0u);  // rule installs at window end
+    ASSERT_LT(first_detect + 1, windows.size());
+    EXPECT_GT(windows[first_detect + 1].dropped_packets, 1000u);
+    EXPECT_FALSE(detections_for(windows[first_detect + 1], 1).contains(sc.syn_victim));
+    // WindowStats::dropped_packets sums every switch's per-window drops.
+    std::uint64_t window_drops = 0;
+    for (const auto& w : windows) window_drops += w.dropped_packets;
+    std::uint64_t switch_drops = 0;
+    for (std::size_t i = 0; i < rt.data_plane_count(); ++i) {
+      switch_drops += rt.data_plane(i).stats().dropped_packets;
+      EXPECT_GE(rt.data_plane(i).blocked_keys(), 1u) << "switch " << i;
+    }
+    EXPECT_GT(switch_drops, 0u);
+    EXPECT_EQ(window_drops, switch_drops);
   }
-  ASSERT_LT(first_detect, windows.size());
-  EXPECT_EQ(windows[first_detect].dropped_packets, 0u);  // rule installs at window end
-  ASSERT_LT(first_detect + 1, windows.size());
-  EXPECT_GT(windows[first_detect + 1].dropped_packets, 1000u);
-  EXPECT_FALSE(detections_for(windows[first_detect + 1], 1).contains(sc.syn_victim));
-  EXPECT_GT(rt.data_plane().stats().dropped_packets, 0u);
-  EXPECT_GE(rt.data_plane().blocked_keys(), 1u);
 }
 
 TEST(Mitigation, GuardTableBudgetIsRespected) {
@@ -211,11 +222,16 @@ TEST(Mitigation, GuardTableBudgetIsRespected) {
   PlannerConfig cfg;
   cfg.mode = PlanMode::kMaxDP;
   const Plan plan = Planner(cfg).plan(qs, sc.trace);
-  Runtime rt(plan);
-  rt.enable_mitigation(
-      {.qid = 1, .output_column = "dIP", .packet_field = "dIP", .max_entries = 2});
-  (void)rt.run_trace(sc.trace);
-  EXPECT_LE(rt.data_plane().blocked_keys(), 2u);
+  for (const testing::Topology& topo : testing::kPolicyTopologies) {
+    SCOPED_TRACE(testing::topology_label(topo));
+    Fleet rt(plan, topo.switches, topo.workers);
+    rt.enable_mitigation(
+        {.qid = 1, .output_column = "dIP", .packet_field = "dIP", .max_entries = 2});
+    (void)rt.run_trace(sc.trace);
+    for (std::size_t i = 0; i < rt.data_plane_count(); ++i) {
+      EXPECT_LE(rt.data_plane(i).blocked_keys(), 2u) << "switch " << i;
+    }
+  }
 }
 
 TEST(Mitigation, SwitchBlockSemantics) {

@@ -217,7 +217,7 @@ TEST(FleetParallel, BatchedRuntimeMatchesPerPacketRuntime) {
   }
 }
 
-TEST(FleetParallel, EngineBuilderPicksDriverFromTopology) {
+TEST(FleetParallel, EngineBuilderBuildsTheOneDriverForEveryTopology) {
   PlannerConfig cfg;
   cfg.mode = PlanMode::kMaxDP;
   const auto build = [&](std::size_t switches, std::size_t threads) {
@@ -232,16 +232,24 @@ TEST(FleetParallel, EngineBuilderPicksDriverFromTopology) {
     return std::move(*built);
   };
 
+  // One driver for every topology: the single-switch deployment is the
+  // one-switch, inline Fleet.
   const auto single = build(1, 0);
-  EXPECT_NE(dynamic_cast<Runtime*>(single.get()), nullptr);
+  const auto* single_fleet = dynamic_cast<Fleet*>(single.get());
+  ASSERT_NE(single_fleet, nullptr);
+  EXPECT_EQ(single_fleet->size(), 1u);
+  EXPECT_EQ(single_fleet->worker_threads(), 0u);
   EXPECT_EQ(single->data_plane_count(), 1u);
 
   const auto fleet = build(4, 2);
-  EXPECT_NE(dynamic_cast<Fleet*>(fleet.get()), nullptr);
+  const auto* multi_fleet = dynamic_cast<Fleet*>(fleet.get());
+  ASSERT_NE(multi_fleet, nullptr);
+  EXPECT_EQ(multi_fleet->size(), 4u);
+  EXPECT_EQ(multi_fleet->worker_threads(), 2u);
   EXPECT_EQ(fleet->data_plane_count(), 4u);
 
-  // Both drivers behind the same interface replay the same trace with the
-  // same detections.
+  // Both topologies behind the same interface replay the same trace with
+  // the same detections.
   auto run = [&](TelemetryEngine& e) {
     std::set<std::uint64_t> dets;
     for (const auto& ws : e.run_trace(scenario().trace)) {

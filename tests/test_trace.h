@@ -3,6 +3,8 @@
 // thresholds calibrated so each attack is the unique ground-truth positive.
 #pragma once
 
+#include <cstddef>
+#include <string>
 #include <vector>
 
 #include "net/packet.h"
@@ -107,6 +109,18 @@ inline Scenario make_scenario(std::uint64_t seed = 42, double bg_flows_per_sec =
   sc.thresholds.slowloris_bytes = 30000;
   sc.thresholds.slowloris_ratio = 1500;
   return sc;
+}
+
+// Driver policies (mitigation, re-planning) belong to the one in-process
+// driver; their tests run on the single switch and on a threaded fleet.
+struct Topology {
+  std::size_t switches;
+  std::size_t workers;
+};
+inline constexpr Topology kPolicyTopologies[] = {{1, 0}, {3, 3}};
+
+inline std::string topology_label(const Topology& t) {
+  return std::to_string(t.switches) + " switches, " + std::to_string(t.workers) + " workers";
 }
 
 }  // namespace sonata::testing
