@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "pisa/compile.h"
-#include "pisa/register.h"
 #include "stream/executor.h"
 #include "util/flat_table.h"
 #include "util/stats.h"
@@ -21,123 +20,36 @@ using query::Tuple;
 InstrumentedResult run_instrumented(const StreamNode& node, std::span<const Tuple> tuples,
                                     const std::vector<Tuple>* front_filter_entries) {
   assert(node.kind == StreamNode::Kind::kSource);
+  // The stream processor's own executor runs the window; its per-operator
+  // counters are the switch-side tuple counts. At a chain head there are
+  // no winners yet, so every filter_in table stays empty.
+  stream::ChainExecutor chain(node);
+  for (const Operator& op : node.ops) {
+    if (op.kind == OpKind::kFilterIn && front_filter_entries) {
+      chain.set_filter_entries(op.table_name, *front_filter_entries);
+    }
+  }
+  for (const Tuple& t : tuples) chain.ingest(t, 0);
+
+  // Up to the first reduce `r`, packets flow one by one: n_after[k] is what
+  // reached ops[k], and a distinct's key count is what it let through.
+  const std::size_t n = node.ops.size();
+  std::size_t r = 0;
+  while (r < n && node.ops[r].kind != OpKind::kReduce) ++r;
   InstrumentedResult res;
-  res.n_after.assign(node.ops.size() + 1, 0);
-  res.n_after[0] = tuples.size();
-
-  // Bind evaluators per op. Sampling aggregation runs on the same flat
-  // keyed-state tables as the live stream executor (util/flat_table.h).
-  struct Bound {
-    query::Expr::Evaluator pred;
-    std::vector<query::Expr::Evaluator> match;
-    std::vector<query::Expr::Evaluator> projections;
-    std::vector<std::size_t> key_idx;
-    std::size_t value_idx = 0;
-    query::ReduceFn fn = query::ReduceFn::kSum;
-    util::FlatSet seen;
-    util::FlatMap<std::uint64_t> agg;
-  };
-  std::vector<Bound> bound(node.ops.size());
-  for (std::size_t i = 0; i < node.ops.size(); ++i) {
-    const Operator& op = node.ops[i];
-    const query::Schema& in = node.schemas[i];
-    switch (op.kind) {
-      case OpKind::kFilter:
-        bound[i].pred = op.predicate->bind(in);
-        break;
-      case OpKind::kFilterIn:
-        for (const auto& m : op.match_exprs) bound[i].match.push_back(m->bind(in));
-        break;
-      case OpKind::kMap:
-        for (const auto& p : op.projections) bound[i].projections.push_back(p.expr->bind(in));
-        break;
-      case OpKind::kDistinct:
-        break;
-      case OpKind::kReduce: {
-        for (const auto& k : op.keys) bound[i].key_idx.push_back(*in.index_of(k));
-        bound[i].value_idx = *in.index_of(op.value_col);
-        bound[i].fn = op.fn;
-        break;
-      }
-    }
+  res.n_after.assign(n + 1, 0);
+  for (std::size_t k = 0; k <= r; ++k) res.n_after[k] = chain.entered(k);
+  for (std::size_t i = 0; i < r; ++i) {
+    if (node.ops[i].kind == OpKind::kDistinct) res.stateful_keys[i] = chain.entered(i + 1);
   }
+  if (r == n) return res;
 
-  util::FlatSet entries;
-  if (front_filter_entries) {
-    entries.reserve(front_filter_entries->size());
-    for (const auto& e : *front_filter_entries) entries.insert(e);
-  }
-
-  // Per-packet pass. A reduce consumes the tuple (switch semantics: the
-  // aggregate lives in registers until the end of the window).
-  const std::size_t stop = node.ops.size();
-  for (const Tuple& source : tuples) {
-    Tuple t = source;
-    for (std::size_t i = 0; i < stop; ++i) {
-      const Operator& op = node.ops[i];
-      Bound& b = bound[i];
-      bool consumed = false;
-      switch (op.kind) {
-        case OpKind::kFilter: {
-          if (b.pred(t).as_uint() == 0) consumed = true;
-          break;
-        }
-        case OpKind::kFilterIn: {
-          Tuple key;
-          key.values.reserve(b.match.size());
-          for (const auto& m : b.match) key.values.push_back(m(t));
-          if (!entries.contains(key, key.hash())) consumed = true;
-          break;
-        }
-        case OpKind::kMap: {
-          Tuple next;
-          next.values.reserve(b.projections.size());
-          for (const auto& p : b.projections) next.values.push_back(p(t));
-          t = std::move(next);
-          break;
-        }
-        case OpKind::kDistinct: {
-          if (!b.seen.insert(t, t.hash())) consumed = true;
-          break;
-        }
-        case OpKind::kReduce: {
-          Tuple key = query::project(t, b.key_idx);
-          const std::uint64_t hash = key.hash();
-          const std::uint64_t delta = t.at(b.value_idx).as_uint();
-          auto [slot, inserted] = b.agg.try_emplace(std::move(key), hash, delta);
-          if (!inserted) *slot = pisa::apply_reduce(b.fn, *slot, delta);
-          consumed = true;  // counted at window end
-          break;
-        }
-      }
-      if (consumed) break;
-      res.n_after[i + 1] += 1;
-    }
-  }
-
-  // Window-end accounting for stateful tails.
-  for (std::size_t i = 0; i < node.ops.size(); ++i) {
-    const Operator& op = node.ops[i];
-    if (op.kind == OpKind::kDistinct) {
-      res.stateful_keys[i] = bound[i].seen.size();
-    } else if (op.kind == OpKind::kReduce) {
-      res.stateful_keys[i] = bound[i].agg.size();
-      // Partition ending right after the reduce: one report per key.
-      res.n_after[i + 1] = bound[i].agg.size();
-      // Partition including the folded threshold filter: one report per
-      // key whose final aggregate passes.
-      if (const auto folded = pisa::foldable_threshold(node, i + 1)) {
-        std::uint64_t passing = 0;
-        for (const auto& e : bound[i].agg.entries()) {
-          const bool ok =
-              folded->strict ? e.value > folded->threshold : e.value >= folded->threshold;
-          passing += ok ? 1 : 0;
-        }
-        res.n_after[i + 2] = passing;
-      }
-      break;  // nothing past the (first) reduce runs on the switch
-    }
-  }
+  // The reduce holds its tuples until the window-end flush, which reports
+  // one tuple per key; the switch may also run the folded threshold on
+  // them, but nothing later (the rest stays zero-filled).
+  (void)chain.end_window();
+  res.n_after[r + 1] = res.stateful_keys[r] = chain.entered(r + 1);
+  if (pisa::foldable_threshold(node, r + 1)) res.n_after[r + 2] = chain.entered(r + 2);
   return res;
 }
 
@@ -196,8 +108,7 @@ CostEstimator::CostEstimator(const query::Query& q, const std::vector<TupleWindo
   compute_relaxed_thresholds();
 }
 
-std::vector<std::vector<query::Value>> CostEstimator::satisfying_keys() {
-  if (satisfying_cache_) return *satisfying_cache_;
+std::vector<std::vector<query::Value>> CostEstimator::satisfying_keys() const {
   std::vector<std::vector<query::Value>> satisfying(windows_->size());
   const auto key_col = keys_.empty() ? std::string{} : keys_.front().key_column;
   const auto out_idx = query_->root()->output_schema().index_of(key_col);
@@ -208,7 +119,6 @@ std::vector<std::vector<query::Value>> CostEstimator::satisfying_keys() {
       for (const Tuple& out : exec.end_window()) satisfying[w].push_back(out.at(*out_idx));
     }
   }
-  satisfying_cache_ = satisfying;
   return satisfying;
 }
 

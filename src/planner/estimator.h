@@ -10,6 +10,8 @@
 //
 // Like Figure 5's exposition, transition costs use same-window winner sets
 // (the paper assumes counts are stable across consecutive windows).
+// Every replay runs the stream processor's own executors; the instrumented
+// run reads a stream::ChainExecutor's per-operator counters entered(k).
 #pragma once
 
 #include <cstdint>
@@ -71,15 +73,12 @@ class CostEstimator {
 
   const std::vector<query::Tuple>& winners(int level, std::size_t w);
 
-  [[nodiscard]] std::size_t window_count() const noexcept { return windows_->size(); }
-  [[nodiscard]] const query::Query& base_query() const noexcept { return *query_; }
-
  private:
   void compute_relaxed_thresholds();
   const query::Query& winner_query(int level);
   // Satisfying finest-level key values per training window (key_column of
   // the original query's output).
-  std::vector<std::vector<query::Value>> satisfying_keys();
+  std::vector<std::vector<query::Value>> satisfying_keys() const;
 
   const query::Query* query_;
   const std::vector<TupleWindow>* windows_;
@@ -90,7 +89,6 @@ class CostEstimator {
 
   // relaxed_[source][level]
   std::vector<std::map<int, std::uint64_t>> relaxed_;
-  std::optional<std::vector<std::vector<query::Value>>> satisfying_cache_;
   std::map<int, query::Query> winner_queries_;
   // winners_[level][window]
   std::map<int, std::vector<std::vector<query::Tuple>>> winners_;
@@ -98,7 +96,10 @@ class CostEstimator {
   std::map<std::tuple<int, int, int>, TransitionCost> costs_;
 };
 
-// Instrumented single-window chain run (exposed for tests).
+// Instrumented single-window chain run (exposed for tests). Every filter_in
+// holds `front_filter_entries` (none when null); n_after follows the
+// TransitionCost contract; stateful_keys covers the first reduce and the
+// distincts before it.
 struct InstrumentedResult {
   std::vector<std::uint64_t> n_after;                 // size ops+1
   std::map<std::size_t, std::uint64_t> stateful_keys; // distinct keys per stateful op

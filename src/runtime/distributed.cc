@@ -11,8 +11,8 @@
 #include "query/field.h"
 #include "query/tuple.h"
 #include "pisa/register.h"
+#include "runtime/fleet.h"
 #include "runtime/report.h"
-#include "util/hash.h"
 #include "util/log.h"
 #include "util/time.h"
 
@@ -221,13 +221,8 @@ std::string SwitchNode::handshake() {
 }
 
 void SwitchNode::ingest(const net::Packet& packet) {
-  // The Fleet's exact routing hash, over the fleet-wide shard count:
-  // packet -> global shard is the same function in every deployment mode.
-  const std::uint64_t flow =
-      util::hash_combine(util::hash_combine(packet.src_ip, packet.dst_ip),
-                         (static_cast<std::uint64_t>(packet.src_port) << 24) ^
-                             (static_cast<std::uint64_t>(packet.dst_port) << 8) ^ packet.proto);
-  const std::size_t g = static_cast<std::size_t>(flow % cfg_.switches);
+  // The Fleet's routing over the fleet-wide shard count.
+  const std::size_t g = shard_of(packet, cfg_.switches);
   if (g % cfg_.nodes != cfg_.node_index) return;  // another process's shard
   OwnedShard& shard = *shards_[g / cfg_.nodes];
   ++shard.packets;

@@ -11,7 +11,6 @@
 #include "pisa/extract.h"
 #include "runtime/plan_install.h"
 #include "util/cpu.h"
-#include "util/hash.h"
 #include "util/log.h"
 
 namespace sonata::runtime {
@@ -480,11 +479,7 @@ void Fleet::flush_shard(std::size_t shard_index) {
 }
 
 void Fleet::ingest(const net::Packet& packet) {
-  const std::uint64_t flow =
-      util::hash_combine(util::hash_combine(packet.src_ip, packet.dst_ip),
-                         (static_cast<std::uint64_t>(packet.src_port) << 24) ^
-                             (static_cast<std::uint64_t>(packet.dst_port) << 8) ^ packet.proto);
-  ingest_at(static_cast<std::size_t>(flow % shards_.size()), packet);
+  ingest_at(shard_of(packet, shards_.size()), packet);
 }
 
 void Fleet::drain_barrier() {

@@ -95,8 +95,21 @@
 #include "runtime/spsc_queue.h"
 #include "runtime/stream_processor.h"
 #include "runtime/wire_channel.h"
+#include "util/hash.h"
 
 namespace sonata::runtime {
+
+// Packet -> shard routing (5-tuple flow hash) for Fleet::ingest and
+// SwitchNode::ingest: every deployment mode puts a packet on the same
+// global shard, which the distributed windows' byte-identity rests on.
+[[nodiscard]] inline std::size_t shard_of(const net::Packet& packet,
+                                          std::size_t shards) noexcept {
+  const std::uint64_t flow =
+      util::hash_combine(util::hash_combine(packet.src_ip, packet.dst_ip),
+                         (static_cast<std::uint64_t>(packet.src_port) << 24) ^
+                             (static_cast<std::uint64_t>(packet.dst_port) << 8) ^ packet.proto);
+  return static_cast<std::size_t>(flow % shards);
+}
 
 class Fleet : public TelemetryEngine {
  public:

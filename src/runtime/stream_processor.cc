@@ -303,7 +303,10 @@ void StreamProcessor::close_levels(WindowStats& window,
       le.latency.reset();
       le.tuples_in = 0;
       std::vector<Tuple> outputs = le.exec->end_window();
-      if (obs_on) le.out_counter->add(outputs.size());
+      if (obs_on) {
+        le.out_counter->add(outputs.size());
+        le.exec->publish_obs();
+      }
       const bool finest = li + 1 == qs.levels.size();
       if (finest) {
         window.results.push_back({pq.base->id(), pq.base->name(), std::move(outputs)});

@@ -234,7 +234,8 @@ class StreamProcessor {
   // Close every level coarse-to-fine: finest outputs land in
   // `window.results`; coarse winners install into the next level's dynamic
   // filter tables on the SP side and on every switch in `switches` (they
-  // take effect for the next window).
+  // take effect for the next window). With obs on, it publishes the level
+  // executors' chain metrics (the planner's replays never do).
   void close_levels(WindowStats& window, std::span<pisa::Switch* const> switches);
 
   [[nodiscard]] stream::QueryExecutor& executor(query::QueryId qid, int level);

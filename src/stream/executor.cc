@@ -16,7 +16,7 @@ obs::Counter& stream_tuples_counter() {
 
 // SP-side keyed-state histograms, mirroring the switch's probe-depth and
 // occupancy metrics so operators can compare SP vs switch collision
-// behaviour. Published once per window from each chain's tables.
+// behaviour. Published once per window from each live chain's tables.
 obs::Histogram& sp_probe_depth_histogram() {
   static constexpr std::uint64_t kBounds[] = {1, 2, 3, 4, 6, 8};
   static obs::Histogram& h =
@@ -32,17 +32,28 @@ obs::Histogram& sp_table_load_histogram() {
   return h;
 }
 
-// Drain one flat table's probe tally into the shared histogram and record
-// its closing load factor.
+// Drain one flat table's probe tally into the shared histogram.
 template <typename Table>
-void publish_one_table(Table& table, obs::Histogram& probes, obs::Histogram& load) {
+void drain_probes(Table& table, obs::Histogram& probes) {
   std::uint64_t tally[Table::kProbeTallyMax + 1];
   table.drain_probe_tally(tally);
   for (std::size_t d = 1; d <= Table::kProbeTallyMax; ++d) {
     if (tally[d] != 0) probes.observe_n(d, tally[d]);
   }
-  if (!table.empty()) {
-    load.observe(static_cast<std::uint64_t>(table.load_factor() * 100.0));
+}
+
+// Visit every exact flat table of a chain's bound operators: filter_in
+// entries, distinct sets and reduce maps (sketch engines have none).
+template <typename Ops, typename F>
+void for_each_table(Ops& ops, F&& f) {
+  for (auto& op : ops) {
+    if (op.kind == query::OpKind::kFilterIn) {
+      f(op.entries.table());
+    } else if (op.kind == query::OpKind::kDistinct) {
+      if (auto* set = op.seen.exact_set()) f(set->table());
+    } else if (op.kind == query::OpKind::kReduce) {
+      if (auto* map = op.agg.exact_map()) f(*map);
+    }
   }
 }
 }  // namespace
@@ -56,6 +67,7 @@ using query::Tuple;
 ChainExecutor::ChainExecutor(const StreamNode& node, const query::StateSpec& spec)
     : node_(node) {
   assert(node_.schemas.size() == node_.ops.size() + 1);
+  entered_.assign(node_.ops.size() + 1, 0);
   ops_.reserve(node_.ops.size());
   for (std::size_t i = 0; i < node_.ops.size(); ++i) {
     const Operator& op = node_.ops[i];
@@ -68,7 +80,6 @@ ChainExecutor::ChainExecutor(const StreamNode& node, const query::StateSpec& spe
         break;
       case OpKind::kFilterIn:
         for (const auto& m : op.match_exprs) bop.match.push_back(m->bind(in));
-        bop.table_name = op.table_name;
         break;
       case OpKind::kMap:
         for (const auto& p : op.projections) bop.projections.push_back(p.expr->bind(in));
@@ -85,7 +96,6 @@ ChainExecutor::ChainExecutor(const StreamNode& node, const query::StateSpec& spe
         const auto vidx = in.index_of(op.value_col);
         assert(vidx);
         bop.value_idx = *vidx;
-        bop.fn = op.fn;
         bop.agg.configure(spec, op.fn);
         break;
       }
@@ -106,6 +116,7 @@ void ChainExecutor::ingest_batch(std::span<Tuple> ts, std::size_t entry) {
 
 void ChainExecutor::process(Tuple&& t, std::size_t i) {
   for (; i < ops_.size(); ++i) {
+    ++entered_[i];
     BoundOp& op = ops_[i];
     switch (op.kind) {
       case OpKind::kFilter:
@@ -141,18 +152,19 @@ void ChainExecutor::process(Tuple&& t, std::size_t i) {
       }
     }
   }
+  ++entered_[ops_.size()];
   pending_.push_back(std::move(t));
 }
 
 std::vector<Tuple> ChainExecutor::end_window() {
-  // Publish the window's ingest tally to the registry in one add — the
-  // per-tuple path keeps only the plain ingested_ increment (metrics.h:
-  // single-writer loops publish once per window).
-  if (obs::enabled()) {
-    stream_tuples_counter().add(ingested_ - ingested_pub_);
-    publish_table_obs();
-  }
-  ingested_pub_ = ingested_;
+  // Closing load of every exact table for publish_obs, read before the
+  // reduce drains and the clears below empty them.
+  closing_load_pct_.clear();
+  for_each_table(ops_, [&](const auto& table) {
+    if (!table.empty()) {
+      closing_load_pct_.push_back(static_cast<std::uint64_t>(table.load_factor() * 100.0));
+    }
+  });
   // Flush reduces in ascending order: outputs of an earlier reduce flow into
   // later operators (possibly another reduce, flushed next). The drain walks
   // the dense entry array in insertion order — deterministic regardless of
@@ -176,28 +188,17 @@ std::vector<Tuple> ChainExecutor::end_window() {
   return out;
 }
 
-void ChainExecutor::publish_table_obs() {
-  // Probe-depth + load-factor at window close, before the tables clear —
-  // the SP-side analogue of Switch::publish_obs's register metrics. The
-  // chain is single-writer, so the tallies drain without synchronization.
+void ChainExecutor::publish_obs() {
+  // One add per window (metrics.h: single-writer loops publish once per
+  // window); the probe and load histograms are the SP-side analogue of
+  // Switch::publish_obs's register metrics.
+  stream_tuples_counter().add(ingested_ - ingested_pub_);
+  ingested_pub_ = ingested_;
   obs::Histogram& probes = sp_probe_depth_histogram();
+  for_each_table(ops_, [&](auto& table) { drain_probes(table, probes); });
   obs::Histogram& load = sp_table_load_histogram();
-  for (auto& op : ops_) {
-    switch (op.kind) {
-      case OpKind::kFilterIn:
-        publish_one_table(op.entries.table(), probes, load);
-        break;
-      case OpKind::kDistinct:
-        // Sketch engines have no probe loop; only exact tables tally.
-        if (auto* set = op.seen.exact_set()) publish_one_table(set->table(), probes, load);
-        break;
-      case OpKind::kReduce:
-        if (auto* map = op.agg.exact_map()) publish_one_table(*map, probes, load);
-        break;
-      default:
-        break;
-    }
-  }
+  for (const std::uint64_t pct : closing_load_pct_) load.observe(pct);
+  closing_load_pct_.clear();
 }
 
 std::uint64_t ChainExecutor::stateful_entries() const noexcept {
@@ -293,8 +294,10 @@ std::vector<Tuple> NodeExecutor::end_window() {
   return chain_.end_window();
 }
 
-std::uint64_t NodeExecutor::stateful_entries() const noexcept {
-  return state_usage().entries;
+void NodeExecutor::publish_obs() {
+  chain_.publish_obs();
+  if (left_) left_->publish_obs();
+  if (right_) right_->publish_obs();
 }
 
 state::StateUsage NodeExecutor::state_usage() const noexcept {
@@ -344,7 +347,7 @@ void QueryExecutor::ingest_source_tuple(const Tuple& source_tuple) {
 std::vector<Tuple> QueryExecutor::end_window() { return root_->end_window(); }
 
 std::uint64_t QueryExecutor::stateful_entries() const noexcept {
-  return root_->stateful_entries();
+  return root_->state_usage().entries;
 }
 
 state::StateUsage QueryExecutor::state_usage() const noexcept { return root_->state_usage(); }

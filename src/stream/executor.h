@@ -12,6 +12,12 @@
 //     threshold) the switch already applied.
 // Joins always run here: children are flushed at window end and hash-joined
 // (paper §3.1.2).
+//
+// Each chain counts the tuples reaching every operator (entered(k)); the
+// planner's cost estimator runs this same executor over training windows
+// and reads those counts, so the operator semantics live here and in the
+// switch pipelines only. Metrics reach the registry solely through
+// publish_obs(), which only the live stream processor calls.
 #pragma once
 
 #include <cstddef>
@@ -53,7 +59,15 @@ class ChainExecutor {
   // Update a dynamic-refinement filter table executed on the SP side.
   bool set_filter_entries(const std::string& table_name, std::vector<query::Tuple> entries);
 
-  [[nodiscard]] std::uint64_t tuples_ingested() const noexcept { return ingested_; }
+  // Tuples that reached ops[k] (k == ops.size(): the chain end) since
+  // construction, from any entry point or window-end flush. A reduce
+  // consumes its inputs: entered(r + 1) grows only as end_window() reports
+  // its keys.
+  [[nodiscard]] std::uint64_t entered(std::size_t k) const noexcept { return entered_[k]; }
+
+  // After end_window(): publish the ingest tally since the last call, the
+  // tables' probe tallies and their load at that window's close.
+  void publish_obs();
 
   // Total keyed-state entries currently held (distinct sets + reduce maps)
   // — the SP-side analogue of register occupancy.
@@ -69,13 +83,11 @@ class ChainExecutor {
     query::OpKind kind = query::OpKind::kFilter;
     query::Expr::Evaluator pred;                      // filter
     std::vector<query::Expr::Evaluator> match;        // filter_in
-    std::string table_name;
     util::FlatSet entries;                            // filter_in (persists windows)
     query::Tuple probe_scratch;                       // reused filter_in probe key
     std::vector<query::Expr::Evaluator> projections;  // map
     std::vector<std::size_t> key_idx;                 // reduce
     std::size_t value_idx = 0;
-    query::ReduceFn fn = query::ReduceFn::kSum;
     // per-window keyed state behind the engine facade: exact mode is the
     // PR 4 flat table verbatim, sketch mode bounds memory (DESIGN.md
     // "Keyed-state engines").
@@ -84,11 +96,12 @@ class ChainExecutor {
   };
 
   void process(query::Tuple&& t, std::size_t i);
-  void publish_table_obs();
 
   const query::StreamNode& node_;
   std::vector<BoundOp> ops_;
   std::vector<query::Tuple> pending_;
+  std::vector<std::uint64_t> entered_;          // size ops + 1, see entered()
+  std::vector<std::uint64_t> closing_load_pct_;  // non-empty tables at the last end_window
   std::uint64_t ingested_ = 0;
   std::uint64_t ingested_pub_ = 0;  // last value published to the registry
 };
@@ -109,9 +122,10 @@ class NodeExecutor {
   // this node's chain, and flush it.
   [[nodiscard]] std::vector<query::Tuple> end_window();
 
-  // Keyed-state entries across this node's chain and all children.
-  [[nodiscard]] std::uint64_t stateful_entries() const noexcept;
+  // Keyed-state usage and publish_obs() over this node's chain and all
+  // children.
   [[nodiscard]] state::StateUsage state_usage() const noexcept;
+  void publish_obs();
 
  private:
   const query::StreamNode& node_;
@@ -145,6 +159,7 @@ class QueryExecutor {
   // Keyed-state entries across the whole executor tree.
   [[nodiscard]] std::uint64_t stateful_entries() const noexcept;
   [[nodiscard]] state::StateUsage state_usage() const noexcept;
+  void publish_obs() { root_->publish_obs(); }
 
   // Number of source entry points (DFS order). Delivery paths fed by an
   // untrusted wire bounds-check their source index against this.

@@ -319,19 +319,23 @@ const testing::Scenario& scenario() {
   return sc;
 }
 
-// The plan's base queries must outlive every engine built from it, so both
-// live for the whole test process.
-const Plan& small_plan() {
+// A plan's base queries must outlive every engine built from it, so the
+// queries and the shared plan live for the whole test process.
+const std::vector<query::Query>& small_queries() {
   static const std::vector<query::Query> qs = [] {
     std::vector<query::Query> out;
     out.push_back(queries::make_newly_opened_tcp(scenario().thresholds, util::seconds(3)));
     out.push_back(queries::make_ddos(scenario().thresholds, util::seconds(3)));
     return out;
   }();
+  return qs;
+}
+
+const Plan& small_plan() {
   static const Plan plan = [] {
     PlannerConfig cfg;
     cfg.mode = PlanMode::kMaxDP;
-    return Planner(cfg).plan(qs, scenario().trace);
+    return Planner(cfg).plan(small_queries(), scenario().trace);
   }();
   return plan;
 }
@@ -552,6 +556,37 @@ TEST(ObsEngine, RegistryPopulatedAfterRun) {
   }
   EXPECT_TRUE(found_hist);
   EXPECT_GT(probe_samples, 0u);
+}
+
+TEST(ObsEngine, PlanningReplaysLeaveStreamMetricsAtZero) {
+  // The planner replays training windows through the stream processor's
+  // executors; only the live SP's window close may publish their metrics.
+  obs::set_enabled(true);
+  Registry::global().reset_values();
+  const auto sp_metrics = [] {
+    const obs::Snapshot snap = Registry::global().snapshot();
+    std::pair<std::uint64_t, std::uint64_t> tuples_and_probes{0, 0};
+    for (const auto& c : snap.counters) {
+      if (c.name == "sonata_stream_tuples_total") tuples_and_probes.first += c.value;
+    }
+    for (const auto& h : snap.histograms) {
+      if (h.name == "sonata_sp_probe_depth") tuples_and_probes.second += h.count;
+    }
+    return tuples_and_probes;
+  };
+  PlannerConfig cfg;
+  cfg.mode = PlanMode::kSonata;
+  const Plan plan = Planner(cfg).plan(small_queries(), scenario().trace);
+  const auto [planned_tuples, planned_probes] = sp_metrics();
+  EXPECT_EQ(planned_tuples, 0u);
+  EXPECT_EQ(planned_probes, 0u);
+
+  Runtime rt(plan);
+  (void)rt.run_trace(scenario().trace);
+  const auto [live_tuples, live_probes] = sp_metrics();
+  obs::set_enabled(false);
+  EXPECT_GT(live_tuples, 0u);
+  EXPECT_GT(live_probes, 0u);
 }
 
 TEST(ObsEngine, PhaseSumExactOnQuarantinePartialWindow) {

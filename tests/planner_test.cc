@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include "pisa/compile.h"
 #include "planner/estimator.h"
 #include "planner/planner.h"
 #include "planner/refine.h"
 #include "queries/catalog.h"
+#include "query/parser.h"
 #include "test_trace.h"
 #include "util/ip.h"
 
@@ -189,6 +191,127 @@ TEST(Estimator, InstrumentedFrontFilterRestrictsTraffic) {
   const std::vector<Tuple> winners{Tuple{{Value{std::uint64_t{ipv4(9, 0, 0, 0)}}}}};
   const auto res = run_instrumented(*node, tuples, &winners);
   EXPECT_EQ(res.n_after[1], 4u);  // only the 9/8 packets pass the filter_in
+}
+
+// --- zero-fill contract: nothing past the first reduce (and its folded
+// threshold) is counted, even where tuples flushed at window end would
+// flow on through later operators.
+
+// The single source chain of a one-query DSL text.
+query::Query parse_one(std::string_view text) {
+  auto parsed = query::parse_queries(text);
+  EXPECT_TRUE(parsed.ok());
+  return std::move(parsed.queries.at(0));
+}
+
+// Eight TCP SYNs: 9.9.9.9 from sources 1..5, 8.8.8.8 from source 1, and
+// source 1 -> 9.9.9.9 repeated twice (duplicate pairs). Three UDP packets
+// from source 7 to 9.9.9.9.
+std::vector<Tuple> zero_fill_traffic() {
+  std::vector<Tuple> tuples;
+  const auto syn = [&](std::uint32_t src, std::uint32_t dst) {
+    tuples.push_back(query::materialize_tuple(net::Packet::tcp(
+        0, ipv4(1, 1, 1, src), dst, 1000, 80, net::tcp_flags::kSyn, 40)));
+  };
+  for (std::uint32_t s = 1; s <= 5; ++s) syn(s, ipv4(9, 9, 9, 9));
+  syn(1, ipv4(8, 8, 8, 8));
+  syn(1, ipv4(9, 9, 9, 9));
+  syn(1, ipv4(9, 9, 9, 9));
+  for (int i = 0; i < 3; ++i) {
+    tuples.push_back(query::materialize_tuple(
+        net::Packet::udp(0, ipv4(1, 1, 1, 7), ipv4(9, 9, 9, 9), 53, 53, 60)));
+  }
+  return tuples;
+}
+
+std::vector<std::size_t> keys_of(const std::map<std::size_t, std::uint64_t>& m) {
+  std::vector<std::size_t> out;
+  for (const auto& [k, v] : m) out.push_back(k);
+  return out;
+}
+
+TEST(Estimator, ReduceWithoutThresholdStopsCounting) {
+  const auto q = parse_one(R"(
+query q id 1 window 3s {
+  packetStream
+    .filter(proto == 6)
+    .map(dIP = dIP, count = 1)
+    .reduce(keys=(dIP), sum(count))
+    .map(dIP = dIP, count = count)
+})");
+  const auto res = run_instrumented(*q.sources()[0], zero_fill_traffic(), nullptr);
+  // The trailing map would see both keys, but only the reduce's reports
+  // count: one per key, and nothing after them.
+  EXPECT_EQ(res.n_after, (std::vector<std::uint64_t>{11, 8, 8, 2, 0}));
+  EXPECT_EQ(keys_of(res.stateful_keys), (std::vector<std::size_t>{2}));
+  EXPECT_EQ(res.stateful_keys.at(2), 2u);
+}
+
+TEST(Estimator, NonFoldableFilterAfterReduceIsZeroFilled) {
+  // A filter on a key column cannot fold into the reduce table.
+  const auto q = parse_one(R"(
+query q id 1 window 3s {
+  packetStream
+    .filter(proto == 6)
+    .map(dIP = dIP, count = 1)
+    .reduce(keys=(dIP), sum(count))
+    .filter(dIP > 0)
+    .map(dIP = dIP)
+})");
+  const auto& src = *q.sources()[0];
+  ASSERT_FALSE(pisa::foldable_threshold(src, 3));
+  const auto res = run_instrumented(src, zero_fill_traffic(), nullptr);
+  EXPECT_EQ(res.n_after, (std::vector<std::uint64_t>{11, 8, 8, 2, 0, 0}));
+  EXPECT_EQ(keys_of(res.stateful_keys), (std::vector<std::size_t>{2}));
+}
+
+TEST(Estimator, SecondReduceIsNotCounted) {
+  const auto q = parse_one(R"(
+query q id 1 window 3s {
+  packetStream
+    .filter(proto == 6)
+    .map(sIP = sIP, dIP = dIP, count = 1)
+    .reduce(keys=(sIP, dIP), sum(count))
+    .filter(count > 1)
+    .map(sIP = sIP, n = 1)
+    .reduce(keys=(sIP), sum(n))
+    .filter(n > 0)
+})");
+  const auto& src = *q.sources()[0];
+  ASSERT_TRUE(pisa::foldable_threshold(src, 3));
+  const auto res = run_instrumented(src, zero_fill_traffic(), nullptr);
+  // Six (sIP, dIP) pairs, one of which (1 -> 9.9.9.9, three SYNs)
+  // passes the folded threshold; the second reduce and its threshold stay
+  // zero, and only the first reduce sizes a register.
+  EXPECT_EQ(res.n_after, (std::vector<std::uint64_t>{11, 8, 8, 6, 1, 0, 0, 0}));
+  EXPECT_EQ(keys_of(res.stateful_keys), (std::vector<std::size_t>{2}));
+  EXPECT_EQ(res.stateful_keys.at(2), 6u);
+}
+
+TEST(Estimator, DistinctOnlyChainCountsUniqueTuples) {
+  const auto q = parse_one(R"(
+query q id 1 window 3s {
+  packetStream
+    .map(sIP = sIP, dIP = dIP)
+    .distinct()
+})");
+  const auto res = run_instrumented(*q.sources()[0], zero_fill_traffic(), nullptr);
+  // Six TCP pairs plus one UDP pair.
+  EXPECT_EQ(res.n_after, (std::vector<std::uint64_t>{11, 11, 7}));
+  EXPECT_EQ(keys_of(res.stateful_keys), (std::vector<std::size_t>{1}));
+  EXPECT_EQ(res.stateful_keys.at(1), 7u);
+}
+
+TEST(Estimator, StatelessChainCountsEveryStep) {
+  const auto q = parse_one(R"(
+query q id 1 window 3s {
+  packetStream
+    .filter(proto == 17)
+    .map(dIP = dIP)
+})");
+  const auto res = run_instrumented(*q.sources()[0], zero_fill_traffic(), nullptr);
+  EXPECT_EQ(res.n_after, (std::vector<std::uint64_t>{11, 3, 3}));
+  EXPECT_TRUE(res.stateful_keys.empty());
 }
 
 // --- full estimator ----------------------------------------------------------
