@@ -232,6 +232,7 @@ std::string_view help_for(std::string_view base) {
       {"sonata_sp_tuples_in_total", "Tuples entering a stream-processor level."},
       {"sonata_sp_tuples_out_total", "Tuples a stream-processor level passed downstream."},
       {"sonata_runtime_replans_total", "Auto-replans installed at window barriers."},
+      {"sonata_plan_search_nodes", "Branch-and-bound nodes the last joint plan search visited."},
       {"sonata_admission_accepted_total", "Control-plane submissions admitted."},
       {"sonata_admission_rejected_total", "Control-plane submissions rejected."},
       {"sonata_admission_withdrawn_total", "Control-plane withdrawals applied."},

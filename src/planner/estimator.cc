@@ -105,7 +105,7 @@ CostEstimator::CostEstimator(const query::Query& q, const std::vector<TupleWindo
   levels_ = normalize_levels(dns ? std::move(dns_levels) : std::move(ip_levels),
                              dns ? kFinestDnsLevel : kFinestIpLevel);
   relaxed_.resize(sources.size());
-  compute_relaxed_thresholds();
+  relaxed_pending_ = true;  // computed on the first coarse-level read
 }
 
 std::vector<std::vector<query::Value>> CostEstimator::satisfying_keys() const {
@@ -211,18 +211,21 @@ void CostEstimator::compute_relaxed_thresholds() {
       }
     }
 
+    if (std::all_of(fine_rows.begin(), fine_rows.end(),
+                    [](const auto& rows) { return rows.empty(); })) {
+      continue;
+    }
     for (std::size_t li = 0; li + 1 < levels_.size(); ++li) {  // skip finest
       const int level = levels_[li];
+      RefineOptions opts;
+      opts.level = level;
+      const auto refined = truncated_at_reduce(make_refined_node(*sources[s], key, opts));
+      const auto kidx = refined->output_schema().index_of(key.key_column);
+      if (!kidx) continue;
+
       std::optional<std::uint64_t> min_agg;
       for (std::size_t w = 0; w < windows_->size(); ++w) {
         if (fine_rows[w].empty()) continue;
-        RefineOptions opts;
-        opts.level = level;
-        auto refined = truncated_at_reduce(make_refined_node(*sources[s], key, opts));
-        const query::Schema& out_schema = refined->output_schema();
-        const auto kidx = out_schema.index_of(key.key_column);
-        if (!kidx) continue;
-
         util::FlatSet coarse_satisfying;
         coarse_satisfying.reserve(fine_rows[w].size());
         for (const Tuple& row : fine_rows[w]) {
@@ -251,7 +254,12 @@ void CostEstimator::compute_relaxed_thresholds() {
   }
 }
 
-std::optional<std::uint64_t> CostEstimator::relaxed_threshold(int source, int level) const {
+std::optional<std::uint64_t> CostEstimator::relaxed_threshold(int source, int level) {
+  if (level == finest_level()) return std::nullopt;
+  if (relaxed_pending_) {
+    relaxed_pending_ = false;
+    compute_relaxed_thresholds();
+  }
   const auto& m = relaxed_.at(static_cast<std::size_t>(source));
   const auto it = m.find(level);
   if (it == m.end()) return std::nullopt;

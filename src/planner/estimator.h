@@ -61,7 +61,9 @@ class CostEstimator {
 
   // Relaxed threshold for `source`'s trailing filter at `level`; nullopt at
   // the finest level or when the source has no trailing threshold filter.
-  [[nodiscard]] std::optional<std::uint64_t> relaxed_threshold(int source, int level) const;
+  // The first coarse-level read computes every source's thresholds (plans
+  // without refinement never pay for them).
+  [[nodiscard]] std::optional<std::uint64_t> relaxed_threshold(int source, int level);
 
   // Winner keys at `level` for window `w`: the output keys of the winner
   // query (stateful sub-queries with relaxed thresholds; raw sources and
@@ -87,8 +89,10 @@ class CostEstimator {
   std::vector<RefinementKey> keys_;
   std::vector<int> levels_;
 
-  // relaxed_[source][level]
+  // relaxed_[source][level], filled on the first coarse-level read
+  // (relaxed_pending_ until then)
   std::vector<std::map<int, std::uint64_t>> relaxed_;
+  bool relaxed_pending_ = false;
   std::map<int, query::Query> winner_queries_;
   // winners_[level][window]
   std::map<int, std::vector<std::vector<query::Tuple>>> winners_;

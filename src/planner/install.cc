@@ -192,6 +192,72 @@ std::uint64_t ChainInstaller::estimate_overflow_keys(std::uint64_t k, std::size_
   return overflowed;
 }
 
+const ChainInstaller::Sizing& ChainInstaller::sizing(int source, int prev, int level) {
+  const auto key = std::make_tuple(source, prev, level);
+  auto it = sizing_cache_.find(key);
+  if (it != sizing_cache_.end()) return it->second;
+  const Query& q = *q_;
+  const auto node = refined_node(source, prev, level);
+  const TransitionCost& cost = est_->transition(source, prev, level);
+
+  // Register sizing for every stateful op in the (potential) prefix:
+  // target headroom * training keys, capped by the per-register memory
+  // limit. A capped register overflows some keys; those keys' packets are
+  // priced into the partition cost by install().
+  Sizing out;
+  for (const auto& [op_idx, keys] : cost.stateful_keys) {
+    const int entry_bits = pisa::stateful_key_bits(*node, op_idx) +
+                           (node->ops[op_idx].kind == query::OpKind::kDistinct ? 1 : 32);
+    RegisterSizing rs;
+    rs.depth = cfg_->register_depth;
+    std::size_t cap = 1;
+    while (cap * 2 * static_cast<std::uint64_t>(entry_bits) <=
+           cfg_->switch_config.max_bits_per_register) {
+      cap *= 2;
+    }
+    if (q.state_spec().sketch() && node->ops[op_idx].kind == query::OpKind::kReduce) {
+      // Sketched reduce: HashPipe-backed registers are sized from the
+      // accuracy target, not the training cardinality — O(1/eps) slots
+      // catch every key heavier than eps * total weight regardless of
+      // how many distinct keys the window carries. HashPipe never
+      // overflows to the SP (evictions surface as a reported error
+      // bound), so no overflow_extra is priced in.
+      rs.sketch = true;
+      rs.depth = std::max(cfg_->register_depth, 2);  // d-stage pipeline
+      const double eps = std::max(q.state_spec().eps, 1e-6);
+      const std::size_t want = pow2_at_least(
+          std::max(cfg_->min_register_entries, static_cast<std::size_t>(2.0 / eps)));
+      rs.entries = std::min(want, cap);
+      out.registers[op_idx] = rs;
+      continue;
+    }
+    const std::size_t want = pow2_at_least(std::max(
+        cfg_->min_register_entries,
+        static_cast<std::size_t>(cfg_->register_headroom * static_cast<double>(keys))));
+    rs.entries = std::min(want, cap);
+    out.registers[op_idx] = rs;
+    if (rs.entries < want && keys > 0) {
+      const std::uint64_t lost = estimate_overflow_keys(keys, rs.entries, rs.depth);
+      // Every packet of an overflowed key reaches the SP; assume the
+      // average packets-per-key of the operator's input.
+      const std::uint64_t pkts_in = op_idx < cost.n_after.size() ? cost.n_after[op_idx] : 0;
+      out.overflow_extra[op_idx] = lost * (pkts_in / keys);
+    }
+  }
+  return sizing_cache_.emplace(key, std::move(out)).first->second;
+}
+
+const ProgramResources& ChainInstaller::resources(int source, int prev, int level,
+                                                  std::size_t p) {
+  const auto key = std::make_tuple(source, prev, level, p);
+  auto it = resource_cache_.find(key);
+  if (it != resource_cache_.end()) return it->second;
+  ProgramResources pr = pisa::build_resources(*refined_node(source, prev, level), p,
+                                              sizing(source, prev, level).registers, q_->id(),
+                                              source, level);
+  return resource_cache_.emplace(key, std::move(pr)).first->second;
+}
+
 std::optional<Installed> ChainInstaller::install(const std::vector<int>& chain,
                                                  std::vector<ProgramResources>& res,
                                                  bool raw_already, bool force_all_sp,
@@ -199,6 +265,16 @@ std::optional<Installed> ChainInstaller::install(const std::vector<int>& chain,
   const Query& q = *q_;
   const auto sources = q.sources();
   const std::size_t res_mark = res.size();
+  const pisa::SwitchConfig& switch_config = cfg_->switch_config;
+
+  // Stage fill of the partial layout, laid out once: every candidate below
+  // is probed against a copy of it. A layout the greedy cannot place
+  // admits no switch program at all; a withdrawal can leave one, since
+  // removing a program lets later tables move into earlier stages.
+  pisa::StageFill fill(switch_config);
+  bool fill_ok = true;
+  for (const auto& pr : res) fill_ok = fill_ok && pisa::place(switch_config, fill, pr);
+  pisa::StageFill probe;
 
   Installed inst;
   inst.pq.base = &q;
@@ -207,6 +283,7 @@ std::optional<Installed> ChainInstaller::install(const std::vector<int>& chain,
   if (est_->refinable()) inst.pq.keys = est_->keys();
 
   for (std::size_t s = 0; s < sources.size(); ++s) {
+    const int si = static_cast<int>(s);
     const bool stateful_src = has_stateful_op(*sources[s]);
     int prev = kNoPrevLevel;
     for (const int level : chain) {
@@ -214,68 +291,19 @@ std::optional<Installed> ChainInstaller::install(const std::vector<int>& chain,
         prev = level;  // raw sources join in at the finest level only
         continue;
       }
-      const auto node = refined_node(static_cast<int>(s), prev, level);
-      const TransitionCost& cost = est_->transition(static_cast<int>(s), prev, level);
-      const std::size_t max_p = max_partition(static_cast<int>(s), prev, level);
+      const auto node = refined_node(si, prev, level);
+      const TransitionCost& cost = est_->transition(si, prev, level);
+      const std::size_t max_p = max_partition(si, prev, level);
+      const Sizing& sized = sizing(si, prev, level);
 
       PlannedPipeline pipeline;
       pipeline.qid = q.id();
-      pipeline.source_index = static_cast<int>(s);
+      pipeline.source_index = si;
       pipeline.level = level;
       pipeline.prev_level = prev;
       pipeline.node = node;
-      if (prev != kNoPrevLevel) {
-        pipeline.filter_table = filter_table_name(q.id(), static_cast<int>(s), level);
-      }
-
-      // Register sizing for every stateful op in the (potential) prefix:
-      // target headroom * training keys, capped by the per-register
-      // memory limit. A capped register overflows some keys; those keys'
-      // packets are priced into the partition cost below.
-      std::map<std::size_t, RegisterSizing> sizing;
-      std::map<std::size_t, std::uint64_t> overflow_extra;  // op -> extra N
-      for (const auto& [op_idx, keys] : cost.stateful_keys) {
-        const int entry_bits =
-            pisa::stateful_key_bits(*node, op_idx) +
-            (node->ops[op_idx].kind == query::OpKind::kDistinct ? 1 : 32);
-        RegisterSizing rs;
-        rs.depth = cfg_->register_depth;
-        std::size_t cap = 1;
-        while (cap * 2 * static_cast<std::uint64_t>(entry_bits) <=
-               cfg_->switch_config.max_bits_per_register) {
-          cap *= 2;
-        }
-        if (q.state_spec().sketch() && node->ops[op_idx].kind == query::OpKind::kReduce) {
-          // Sketched reduce: HashPipe-backed registers are sized from the
-          // accuracy target, not the training cardinality — O(1/eps) slots
-          // catch every key heavier than eps * total weight regardless of
-          // how many distinct keys the window carries. HashPipe never
-          // overflows to the SP (evictions surface as a reported error
-          // bound), so no overflow_extra is priced in.
-          rs.sketch = true;
-          rs.depth = std::max(cfg_->register_depth, 2);  // d-stage pipeline
-          const double eps = std::max(q.state_spec().eps, 1e-6);
-          const std::size_t want = pow2_at_least(std::max(
-              cfg_->min_register_entries, static_cast<std::size_t>(2.0 / eps)));
-          rs.entries = std::min(want, cap);
-          sizing[op_idx] = rs;
-          continue;
-        }
-        const std::size_t want = pow2_at_least(std::max(
-            cfg_->min_register_entries,
-            static_cast<std::size_t>(cfg_->register_headroom * static_cast<double>(keys))));
-        rs.entries = std::min(want, cap);
-        sizing[op_idx] = rs;
-        if (rs.entries < want && keys > 0) {
-          const std::uint64_t lost = estimate_overflow_keys(keys, rs.entries, rs.depth);
-          // Every packet of an overflowed key reaches the SP; assume the
-          // average packets-per-key of the operator's input.
-          const std::uint64_t pkts_in = op_idx < cost.n_after.size() ? cost.n_after[op_idx] : 0;
-          overflow_extra[op_idx] =
-              keys == 0 ? 0 : lost * (pkts_in / std::max<std::uint64_t>(keys, 1));
-        }
-      }
-      pipeline.sizing = sizing;
+      if (prev != kNoPrevLevel) pipeline.filter_table = filter_table_name(q.id(), si, level);
+      pipeline.sizing = sized.registers;
 
       // Cheapest feasible partition (cost = reported tuples + overflow
       // penalty of on-switch stateful ops; partition 0 costs the shared
@@ -294,20 +322,17 @@ std::optional<Installed> ChainInstaller::install(const std::vector<int>& chain,
           if (!limits.allow_mirror) continue;
           contribution = (raw_already || inst.raw) ? 0 : window_packets_;
         } else {
-          ProgramResources pr =
-              pisa::build_resources(*node, p, sizing, q.id(), static_cast<int>(s), level);
-          const std::uint64_t tables = pr.tables.size();
-          const std::uint64_t bits = pr.total_register_bits();
-          if (inst.footprint.tables + tables > limits.max_tables ||
-              inst.footprint.register_bits + bits > limits.max_register_bits) {
+          if (!fill_ok) continue;
+          const ProgramResources& pr = resources(si, prev, level, p);
+          if (inst.footprint.tables + pr.tables.size() > limits.max_tables ||
+              inst.footprint.register_bits + pr.total_register_bits() >
+                  limits.max_register_bits) {
             continue;
           }
-          res.push_back(pr);
-          const bool fits = pisa::assign_stages(cfg_->switch_config, res).feasible;
-          res.pop_back();
-          if (!fits) continue;
+          probe = fill;
+          if (!pisa::place(switch_config, probe, pr)) continue;
           contribution = p < cost.n_after.size() ? cost.n_after[p] : 0;
-          for (const auto& [op_idx, extra] : overflow_extra) {
+          for (const auto& [op_idx, extra] : sized.overflow_extra) {
             if (op_idx < p) contribution += extra;
           }
         }
@@ -334,11 +359,13 @@ std::optional<Installed> ChainInstaller::install(const std::vector<int>& chain,
       } else {
         pipeline.est_tuples = best_cost;
         inst.n += best_cost;
-        ProgramResources pr = pisa::build_resources(*node, best_p, sizing, q.id(),
-                                                    static_cast<int>(s), level);
+        const ProgramResources& pr = resources(si, prev, level, best_p);
         inst.footprint.tables += pr.tables.size();
         inst.footprint.register_bits += pr.total_register_bits();
-        res.push_back(std::move(pr));
+        const bool fits = pisa::place(switch_config, fill, pr);
+        assert(fits);  // probed above
+        (void)fits;
+        res.push_back(pr);
       }
       inst.pq.pipelines.push_back(std::move(pipeline));
       prev = level;

@@ -4,10 +4,12 @@
 // switch layout: greedy max-partition-with-backoff per pipeline, register
 // sizing with the collision-overflow model, exact stage layout (C1-C5) as
 // the feasibility oracle. It owns the per-query caches the search re-visits
-// (refined nodes, semantic max partitions, the Monte-Carlo overflow model),
-// so both the joint branch-and-bound (planner.cc) and the incremental
-// planner (incremental.cc) reuse identical state — and produce identical
-// installs for identical inputs.
+// (refined nodes, semantic max partitions, register sizing, the resources
+// of every (transition, partition), the Monte-Carlo overflow model), so
+// both the joint branch-and-bound (planner.cc) and the incremental planner
+// (incremental.cc) reuse identical state — and produce identical installs
+// for identical inputs. An install lays out the partial layout once and
+// probes each candidate partition against that stage fill (pisa::place).
 //
 // Installs can be constrained by per-tenant resource limits (InstallLimits):
 // a budget caps the match-action tables and register bits one install may
@@ -88,6 +90,16 @@ class ChainInstaller {
                                              bool force_all_sp) const;
   std::uint64_t estimate_overflow_keys(std::uint64_t k, std::size_t n, int d);
 
+  // Register sizing of one transition's stateful ops and the overflow
+  // penalty (extra N) of each capped one: a function of the cached
+  // TransitionCost and the config only.
+  struct Sizing {
+    std::map<std::size_t, pisa::RegisterSizing> registers;
+    std::map<std::size_t, std::uint64_t> overflow_extra;  // op -> extra N
+  };
+  const Sizing& sizing(int source, int prev, int level);
+  const pisa::ProgramResources& resources(int source, int prev, int level, std::size_t p);
+
   const PlannerConfig* cfg_;
   const query::Query* q_;
   std::unique_ptr<CostEstimator> owned_;
@@ -96,6 +108,8 @@ class ChainInstaller {
 
   std::map<std::tuple<int, int, int>, std::shared_ptr<query::StreamNode>> node_cache_;
   std::map<std::tuple<int, int, int>, std::size_t> max_partition_cache_;
+  std::map<std::tuple<int, int, int>, Sizing> sizing_cache_;
+  std::map<std::tuple<int, int, int, std::size_t>, pisa::ProgramResources> resource_cache_;
   std::map<std::tuple<std::uint64_t, std::size_t, int>, std::uint64_t> overflow_cache_;
 };
 

@@ -4,6 +4,8 @@
 #include <cassert>
 #include <deque>
 
+#include "obs/metrics.h"
+#include "obs/tracing.h"
 #include "planner/install.h"
 #include "util/log.h"
 #include "util/stats.h"
@@ -55,6 +57,12 @@ class PlanBuilder {
       : cfg_(cfg), queries_(queries), installers_(installers), window_packets_(window_packets) {}
 
   Plan run() {
+    // The search (candidate costing, which replays training windows on
+    // first use, then branch-and-bound) and the assembly are the two spans
+    // of planning; the node count is published for the same reason.
+    const bool tracing = obs::TraceRecorder::global().enabled();
+    const std::uint64_t search_start = tracing ? obs::now_ns() : 0;
+
     // Candidate chains per query.
     std::vector<std::vector<std::vector<int>>> candidates(queries_.size());
     for (std::size_t qi = 0; qi < queries_.size(); ++qi) {
@@ -129,8 +137,21 @@ class PlanBuilder {
       SONATA_INFO("planner", "greedy plan beaten by the all-raw fallback; using All-SP layout");
     }
 
-    return assemble_plan(cfg_, std::move(best_), std::move(best_resources_), best_raw_,
-                         window_packets_, best_objective_);
+    static obs::Gauge& search_nodes =
+        obs::Registry::global().gauge("sonata_plan_search_nodes");
+    search_nodes.set(static_cast<std::int64_t>(nodes_));
+    const std::uint64_t assemble_start = tracing ? obs::now_ns() : 0;
+    if (tracing) {
+      obs::TraceRecorder::global().record("plan.search", "planner", search_start,
+                                          assemble_start - search_start);
+    }
+    Plan plan = assemble_plan(cfg_, std::move(best_), std::move(best_resources_), best_raw_,
+                              window_packets_, best_objective_);
+    if (tracing) {
+      obs::TraceRecorder::global().record("plan.assemble", "planner", assemble_start,
+                                          obs::now_ns() - assemble_start);
+    }
+    return plan;
   }
 
  private:

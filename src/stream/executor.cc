@@ -104,23 +104,33 @@ ChainExecutor::ChainExecutor(const StreamNode& node, const query::StateSpec& spe
   }
 }
 
-void ChainExecutor::ingest(Tuple t, std::size_t entry) {
+void ChainExecutor::ingest(const Tuple& t, std::size_t entry) {
   ++ingested_;
-  process(std::move(t), entry);
+  process(t, nullptr, entry);
+}
+
+void ChainExecutor::ingest(Tuple&& t, std::size_t entry) {
+  ++ingested_;
+  process(t, &t, entry);
 }
 
 void ChainExecutor::ingest_batch(std::span<Tuple> ts, std::size_t entry) {
   ingested_ += ts.size();
-  for (Tuple& t : ts) process(std::move(t), entry);
+  for (Tuple& t : ts) process(t, &t, entry);
 }
 
-void ChainExecutor::process(Tuple&& t, std::size_t i) {
+void ChainExecutor::process(const Tuple& in, Tuple* movable, std::size_t i) {
+  // The operators read the current tuple through `t`; it is copied only
+  // where it is stored (a distinct's set, the chain end), and a map's
+  // output is a new tuple this loop owns.
+  const Tuple* t = &in;
+  Tuple mapped;
   for (; i < ops_.size(); ++i) {
     ++entered_[i];
     BoundOp& op = ops_[i];
     switch (op.kind) {
       case OpKind::kFilter:
-        if (op.pred(t).as_uint() == 0) return;
+        if (op.pred(*t).as_uint() == 0) return;
         break;
       case OpKind::kFilterIn: {
         // The probe key is rebuilt into a reused scratch tuple (inline
@@ -128,32 +138,37 @@ void ChainExecutor::process(Tuple&& t, std::size_t i) {
         // reuses the hash for the group probe and the stored-hash compare.
         Tuple& key = op.probe_scratch;
         key.values.clear();
-        for (const auto& m : op.match) key.values.push_back(m(t));
+        for (const auto& m : op.match) key.values.push_back(m(*t));
         if (!op.entries.contains(key, key.hash())) return;
         break;
       }
       case OpKind::kMap: {
         Tuple next;
         next.values.reserve(op.projections.size());
-        for (const auto& p : op.projections) next.values.push_back(p(t));
-        t = std::move(next);
+        for (const auto& p : op.projections) next.values.push_back(p(*t));
+        mapped = std::move(next);
+        t = movable = &mapped;
         break;
       }
       case OpKind::kDistinct: {
-        if (!op.seen.insert_new(t, t.hash())) return;  // duplicate within window
+        if (!op.seen.insert_new(*t, t->hash())) return;  // duplicate within window
         break;
       }
       case OpKind::kReduce: {
-        Tuple key = query::project(t, op.key_idx);
+        Tuple key = query::project(*t, op.key_idx);
         const std::uint64_t hash = key.hash();
-        const std::uint64_t delta = t.at(op.value_idx).as_uint();
+        const std::uint64_t delta = t->at(op.value_idx).as_uint();
         op.agg.update(std::move(key), hash, delta);
         return;  // consumed; flushed at window end
       }
     }
   }
   ++entered_[ops_.size()];
-  pending_.push_back(std::move(t));
+  if (movable != nullptr) {
+    pending_.push_back(std::move(*movable));
+  } else {
+    pending_.push_back(*t);
+  }
 }
 
 std::vector<Tuple> ChainExecutor::end_window() {
@@ -176,7 +191,7 @@ std::vector<Tuple> ChainExecutor::end_window() {
     op.agg.drain_and_clear([&](Tuple&& key, std::uint64_t value) {
       Tuple out = std::move(key);
       out.values.emplace_back(value);
-      process(std::move(out), i + 1);
+      process(out, &out, i + 1);
     });
   }
   for (auto& op : ops_) {
@@ -328,7 +343,11 @@ QueryExecutor::QueryExecutor(const query::Query& q) : query_(&q) {
   collect_source_executors(root_.get(), sources_);
 }
 
-void QueryExecutor::ingest(int source_index, Tuple t, std::size_t entry) {
+void QueryExecutor::ingest(int source_index, const Tuple& t, std::size_t entry) {
+  sources_.at(static_cast<std::size_t>(source_index))->chain().ingest(t, entry);
+}
+
+void QueryExecutor::ingest(int source_index, Tuple&& t, std::size_t entry) {
   sources_.at(static_cast<std::size_t>(source_index))->chain().ingest(std::move(t), entry);
 }
 

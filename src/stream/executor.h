@@ -45,8 +45,11 @@ class ChainExecutor {
                          const query::StateSpec& spec = {});
 
   // Run `t` through ops[entry..). Outputs reaching the chain end are
-  // buffered for end_window().
-  void ingest(query::Tuple t, std::size_t entry);
+  // buffered for end_window(). A borrowed tuple is copied only if it is
+  // stored (reaches the chain end or a distinct's set), so a replay whose
+  // filters drop most tuples copies few; an rvalue is moved where stored.
+  void ingest(const query::Tuple& t, std::size_t entry);
+  void ingest(query::Tuple&& t, std::size_t entry);
 
   // Batched ingest: every tuple in `ts` is MOVED through ops[entry..) —
   // the batched data path hands whole shard buffers over without copying
@@ -95,7 +98,10 @@ class ChainExecutor {
     state::ReduceEngine agg;      // reduce
   };
 
-  void process(query::Tuple&& t, std::size_t i);
+  // The one operator loop behind every ingest path and the reduce flush:
+  // runs `in` through ops[i..). `movable` is null or points at `in`, whose
+  // storage the loop may then take.
+  void process(const query::Tuple& in, query::Tuple* movable, std::size_t i);
 
   const query::StreamNode& node_;
   std::vector<BoundOp> ops_;
@@ -140,8 +146,10 @@ class QueryExecutor {
  public:
   explicit QueryExecutor(const query::Query& q);
 
-  // Ingest a tuple into source `source_index` at operator `entry`.
-  void ingest(int source_index, query::Tuple t, std::size_t entry);
+  // Ingest a tuple into source `source_index` at operator `entry` (copied
+  // only where stored, see ChainExecutor::ingest).
+  void ingest(int source_index, const query::Tuple& t, std::size_t entry);
+  void ingest(int source_index, query::Tuple&& t, std::size_t entry);
 
   // Batched ingest; tuples in `ts` are moved (see ChainExecutor).
   void ingest_batch(int source_index, std::span<query::Tuple> ts, std::size_t entry);

@@ -589,6 +589,35 @@ TEST(ObsEngine, PlanningReplaysLeaveStreamMetricsAtZero) {
   EXPECT_GT(live_probes, 0u);
 }
 
+TEST(ObsEngine, PlanningEmitsSpansAndSearchNodesOnlyWhenOn) {
+  auto& rec = obs::TraceRecorder::global();
+  obs::Gauge& nodes = Registry::global().gauge("sonata_plan_search_nodes");
+  PlannerConfig cfg;
+  cfg.mode = PlanMode::kSonata;
+
+  rec.clear();
+  rec.set_enabled(true);
+  obs::set_enabled(true);
+  Registry::global().reset_values();
+  (void)Planner(cfg).plan(small_queries(), scenario().trace);
+  rec.set_enabled(false);
+  obs::set_enabled(false);
+  const std::string json = rec.to_chrome_json();
+  EXPECT_NE(json.find("\"name\": \"plan.search\", \"cat\": \"planner\""), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"name\": \"plan.assemble\", \"cat\": \"planner\""),
+            std::string::npos)
+      << json;
+  EXPECT_GT(nodes.value(), 0);
+
+  // Off (the default): no span, no metric.
+  rec.clear();
+  Registry::global().reset_values();
+  (void)Planner(cfg).plan(small_queries(), scenario().trace);
+  EXPECT_EQ(rec.size(), 0u);
+  EXPECT_EQ(nodes.value(), 0);
+}
+
 TEST(ObsEngine, PhaseSumExactOnQuarantinePartialWindow) {
   // The phase-sum == total identity must survive the degradation path: a
   // stalled worker, a watchdog fire, and a partial close with a resync.

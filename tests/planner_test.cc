@@ -7,6 +7,7 @@
 #include "queries/catalog.h"
 #include "query/parser.h"
 #include "test_trace.h"
+#include "util/hash.h"
 #include "util/ip.h"
 
 namespace sonata::planner {
@@ -418,6 +419,58 @@ class PlannerTest : public ::testing::Test {
     return planner.plan_windows(qs, windows());
   }
 };
+
+// Everything a plan installs, as text: the summary, every program's tables
+// and the stage layout. Planning speed-ups must leave it byte-identical.
+std::string plan_fingerprint(const Plan& plan) {
+  std::string out = plan.summary();
+  for (const auto& r : plan.resources) {
+    out += "program q" + std::to_string(r.qid) + " s" + std::to_string(r.source_index) + " L" +
+           std::to_string(r.level) + " p" + std::to_string(r.partition) + " metadata=" +
+           std::to_string(r.metadata_bits) + "\n";
+    for (const auto& t : r.tables) {
+      out += "  " + t.name + " op" + std::to_string(static_cast<int>(t.op)) + "@" +
+             std::to_string(t.op_index) + (t.stateful ? " stateful" : "") + " bits=" +
+             std::to_string(t.register_bits) + " actions=" + std::to_string(t.actions) + "\n";
+    }
+  }
+  const auto& layout = plan.layout;
+  out += "layout feasible=" + std::to_string(layout.feasible) + " metadata=" +
+         std::to_string(layout.metadata_bits_used) + " " + layout.error + "\n";
+  for (const auto& stages : layout.table_stages) {
+    out += " ";
+    for (const int st : stages) out += " " + std::to_string(st);
+    out += "\n";
+  }
+  for (const auto& u : layout.stages) {
+    out += "  stage " + std::to_string(u.stateful) + "/" + std::to_string(u.stateless_actions) +
+           "/" + std::to_string(u.register_bits) + "\n";
+  }
+  return out;
+}
+
+TEST_F(PlannerTest, CatalogPlansArePinned) {
+  struct Pin {
+    PlanMode mode;
+    std::uint64_t est_total_tuples;
+    std::uint64_t fingerprint_fnv;
+  };
+  static constexpr Pin kPins[] = {
+      {PlanMode::kSonata, 5225, 12960096232473367579ULL},
+      {PlanMode::kAllSP, 17429, 15604987969129259932ULL},
+      {PlanMode::kFilterDP, 17429, 13288873415366852414ULL},
+      {PlanMode::kMaxDP, 6001, 11287348645234370882ULL},
+      {PlanMode::kFixRef, 17429, 9779222972067641712ULL},
+  };
+  const auto qs = queries();
+  for (const Pin& pin : kPins) {
+    const Plan plan = plan_with(pin.mode, qs);
+    const std::string fingerprint = plan_fingerprint(plan);
+    EXPECT_EQ(plan.est_total_tuples, pin.est_total_tuples) << to_string(pin.mode);
+    EXPECT_EQ(util::fnv1a64(fingerprint), pin.fingerprint_fnv)
+        << to_string(pin.mode) << "\n" << fingerprint;
+  }
+}
 
 TEST_F(PlannerTest, AllSpMirrorsEverything) {
   const auto qs = queries();

@@ -233,33 +233,43 @@ INSTANTIATE_TEST_SUITE_P(Seeds, InstrumentedMonotone, ::testing::Values(1, 2, 3)
 
 // --- layout constraint enforcement -------------------------------------------
 
-class LayoutProperty : public ::testing::TestWithParam<int> {};
+class LayoutProperty : public ::testing::TestWithParam<int> {
+ protected:
+  // A random switch and a random program list drawn from `rng`.
+  static pisa::SwitchConfig random_switch(util::Rng& rng) {
+    pisa::SwitchConfig cfg;
+    cfg.stages = static_cast<int>(rng.uniform(2, 12));
+    cfg.stateful_actions_per_stage = static_cast<int>(rng.uniform(1, 4));
+    cfg.register_bits_per_stage = rng.uniform(10'000, 200'000);
+    cfg.max_bits_per_register = cfg.register_bits_per_stage;
+    cfg.metadata_bits = rng.uniform(500, 4000);
+    return cfg;
+  }
+  static std::vector<pisa::ProgramResources> random_programs(util::Rng& rng, int max_programs) {
+    std::vector<pisa::ProgramResources> programs;
+    const int n_programs = static_cast<int>(rng.uniform(1, max_programs));
+    for (int pi = 0; pi < n_programs; ++pi) {
+      pisa::ProgramResources res;
+      res.qid = static_cast<query::QueryId>(pi);
+      res.metadata_bits = static_cast<int>(rng.uniform(50, 400));
+      const int tables = static_cast<int>(rng.uniform(1, 6));
+      for (int t = 0; t < tables; ++t) {
+        pisa::TableSpec spec;
+        spec.name = "q" + std::to_string(pi) + "/t" + std::to_string(t);
+        spec.stateful = rng.bernoulli(0.4);
+        spec.register_bits = spec.stateful ? rng.uniform(1'000, 80'000) : 0;
+        res.tables.push_back(spec);
+      }
+      programs.push_back(std::move(res));
+    }
+    return programs;
+  }
+};
 
 TEST_P(LayoutProperty, FeasibleLayoutsRespectAllCaps) {
   util::Rng rng(static_cast<std::uint64_t>(GetParam()));
-  pisa::SwitchConfig cfg;
-  cfg.stages = static_cast<int>(rng.uniform(2, 12));
-  cfg.stateful_actions_per_stage = static_cast<int>(rng.uniform(1, 4));
-  cfg.register_bits_per_stage = rng.uniform(10'000, 200'000);
-  cfg.max_bits_per_register = cfg.register_bits_per_stage;
-  cfg.metadata_bits = rng.uniform(500, 4000);
-
-  std::vector<pisa::ProgramResources> programs;
-  const int n_programs = static_cast<int>(rng.uniform(1, 6));
-  for (int pi = 0; pi < n_programs; ++pi) {
-    pisa::ProgramResources res;
-    res.qid = static_cast<query::QueryId>(pi);
-    res.metadata_bits = static_cast<int>(rng.uniform(50, 400));
-    const int tables = static_cast<int>(rng.uniform(1, 6));
-    for (int t = 0; t < tables; ++t) {
-      pisa::TableSpec spec;
-      spec.name = "q" + std::to_string(pi) + "/t" + std::to_string(t);
-      spec.stateful = rng.bernoulli(0.4);
-      spec.register_bits = spec.stateful ? rng.uniform(1'000, 80'000) : 0;
-      res.tables.push_back(spec);
-    }
-    programs.push_back(std::move(res));
-  }
+  const pisa::SwitchConfig cfg = random_switch(rng);
+  const std::vector<pisa::ProgramResources> programs = random_programs(rng, 6);
 
   const auto layout = pisa::assign_stages(cfg, programs);
   if (!layout.feasible) return;  // infeasibility is legitimate
@@ -288,6 +298,38 @@ TEST_P(LayoutProperty, FeasibleLayoutsRespectAllCaps) {
     EXPECT_LE(bits[static_cast<std::size_t>(s)], cfg.register_bits_per_stage);         // C1
   }
   EXPECT_LE(static_cast<std::uint64_t>(metadata), cfg.metadata_bits);                  // C5
+}
+
+TEST_P(LayoutProperty, PlaceOnPrefixFillMatchesFullLayout) {
+  // The planner probes a candidate program with place() on the stage fill
+  // of the programs already laid out; that must agree with laying out the
+  // whole list again, on every prefix.
+  util::Rng rng(static_cast<std::uint64_t>(GetParam()) + 1000);
+  const pisa::SwitchConfig cfg = random_switch(rng);
+  const std::vector<pisa::ProgramResources> programs = random_programs(rng, 10);
+
+  pisa::StageFill fill(cfg);
+  bool prefix_fits = true;
+  for (std::size_t k = 0; k < programs.size(); ++k) {
+    const std::vector<pisa::ProgramResources> with(programs.begin(),
+                                                   programs.begin() + static_cast<long>(k) + 1);
+    const pisa::Layout full = pisa::assign_stages(cfg, with);
+    pisa::StageFill probe = fill;
+    const bool fits = prefix_fits && pisa::place(cfg, probe, programs[k]);
+    ASSERT_EQ(fits, full.feasible) << "prefix " << k << ": " << full.error;
+    if (fits) {
+      EXPECT_EQ(probe.metadata_bits, full.metadata_bits_used) << "prefix " << k;
+      ASSERT_EQ(probe.stages.size(), full.stages.size());
+      for (std::size_t st = 0; st < probe.stages.size(); ++st) {
+        EXPECT_EQ(probe.stages[st].stateful, full.stages[st].stateful) << k << "/" << st;
+        EXPECT_EQ(probe.stages[st].stateless_actions, full.stages[st].stateless_actions)
+            << k << "/" << st;
+        EXPECT_EQ(probe.stages[st].register_bits, full.stages[st].register_bits)
+            << k << "/" << st;
+      }
+    }
+    prefix_fits = prefix_fits && pisa::place(cfg, fill, programs[k]);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LayoutProperty, ::testing::Range(1, 25));

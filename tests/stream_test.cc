@@ -130,6 +130,68 @@ TEST(ChainExecutor, FilterInEntries) {
   EXPECT_FALSE(chain.set_filter_entries("other", {}));
 }
 
+// Borrowed (const&) and moved (&&) ingest must be indistinguishable: same
+// outputs, same per-operator counts, and a borrowed tuple left untouched.
+class StreamIngest : public ::testing::TestWithParam<int> {
+ protected:
+  static query::Query chain_query(int which) {
+    switch (which) {
+      case 0:  // filter -> map -> distinct
+        return QueryBuilder::packet_stream()
+            .filter(col("tcp.flags") == lit(2))
+            .map({{"sIP", col("sIP")}, {"dIP", col("dIP")}})
+            .distinct()
+            .build("fmd", 1);
+      case 1:  // reduce with a trailing threshold
+        return QueryBuilder::packet_stream()
+            .filter(col("tcp.flags") == lit(2))
+            .map({{"dIP", col("dIP")}, {"c", lit(1)}})
+            .reduce({"dIP"}, ReduceFn::kSum, "c")
+            .filter(col("c") > lit(1))
+            .build("red", 2);
+      default:  // reduce-free: map after map, then a filter
+        return QueryBuilder::packet_stream()
+            .map({{"dIP", col("dIP")}, {"sIP", col("sIP")}})
+            .map({{"dIP", col("dIP")}})
+            .filter(col("dIP") > lit(20))
+            .build("mmf", 3);
+    }
+  }
+  static std::vector<Tuple> packets() {
+    std::vector<Tuple> out;
+    for (std::uint32_t i = 0; i < 60; ++i) {
+      const std::uint8_t flags = i % 3 == 0 ? net::tcp_flags::kAck : net::tcp_flags::kSyn;
+      out.push_back(tup(net::Packet::tcp(0, 1 + i % 4, 10 + i % 17, 1000, 80, flags, 40)));
+    }
+    return out;
+  }
+};
+
+TEST_P(StreamIngest, BorrowedAndMovedTuplesAgree) {
+  auto q = chain_query(GetParam());
+  ASSERT_EQ(q.validate(), "");
+  const auto& node = *q.sources()[0];
+  const std::vector<Tuple> input = packets();
+  const std::vector<Tuple> before = input;
+
+  ChainExecutor borrowed(node);
+  ChainExecutor moved(node);
+  for (int window = 0; window < 2; ++window) {
+    for (const Tuple& t : input) {
+      borrowed.ingest(t, 0);
+      moved.ingest(Tuple(t), 0);
+    }
+    EXPECT_EQ(borrowed.end_window(), moved.end_window()) << "window " << window;
+    for (std::size_t k = 0; k <= node.ops.size(); ++k) {
+      EXPECT_EQ(borrowed.entered(k), moved.entered(k)) << "op " << k;
+    }
+  }
+  EXPECT_EQ(input, before);
+  EXPECT_GT(borrowed.entered(node.ops.size()), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Chains, StreamIngest, ::testing::Values(0, 1, 2));
+
 TEST(QueryExecutor, JoinCombinesSubQueries) {
   queries::Thresholds th;
   th.slowloris_bytes = 50;
