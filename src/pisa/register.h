@@ -7,11 +7,23 @@
 // exactly) plus the running aggregate. A key that collides in all d arrays
 // overflows: the packet is sent to the stream processor, which adjusts the
 // window's results (handled by the runtime).
+//
+// Slot layout. Like a hardware register slot of key_bits + value_bits,
+// each slot is a fixed run of u64 words in one flat array: the aggregate,
+// a flags word (occupied, reported), then one word per key column. The
+// stride (2 + key columns) is fixed when the chain is laid out — by the
+// pipeline compiler from the key's column kinds, or from the first key a
+// Tuple entry point sees. A numeric column's word is its value; a string
+// column (DNS names) stores an id interned per chain and per window, and
+// entries() maps ids back to the strings. Slot indices come from the exact
+// Tuple::hash of the key, so placement, collisions and overflows are those
+// of a chain that stores Tuples.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "query/ops.h"
@@ -41,7 +53,10 @@ struct RegisterChainConfig {
 
 class RegisterChain {
  public:
-  explicit RegisterChain(const RegisterChainConfig& cfg);
+  // `key_kinds` lays the exact chain out (one entry per key column); when
+  // empty, the first key given to a Tuple entry point does.
+  explicit RegisterChain(const RegisterChainConfig& cfg,
+                         std::vector<query::ValueKind> key_kinds = {});
 
   struct UpdateResult {
     bool stored = false;          // found a slot (new or existing)
@@ -51,8 +66,34 @@ class RegisterChain {
     std::uint64_t value = 0;      // aggregate after the update (if stored)
   };
 
-  // Fold `delta` into the aggregate for `key` using `fn`.
+  // One key given column by column (the packed entry points, used by the
+  // switch data path): a numeric column c is words[c]; a string column c is
+  // *strs[c] (words[c] unread). `strs` may be null when no column is a
+  // string. Requires a chain laid out with key kinds.
+  struct KeyColumns {
+    const std::uint64_t* words = nullptr;
+    const query::Value* const* strs = nullptr;
+  };
+
+  // A key's hash and register indices, computed ahead of its update:
+  // locate() packs the key into `packed` (one word per key column; a string
+  // not yet interned packs as an id no stored key holds) and prefetches the
+  // first slots, so a caller can locate several keys before touching any.
+  // Valid until the chain next changes.
+  struct Located {
+    std::size_t idx[util::HashFamily::kMaxFamily];
+    bool complete = true;  // every string column is interned
+  };
+  Located locate(KeyColumns key, std::uint64_t* packed) const noexcept;
+
+  // Fold `delta` into the aggregate for `key` using `fn`. The Tuple form
+  // lays the chain out from its first key and throws std::invalid_argument
+  // for a key of another arity or column kinds.
   UpdateResult update(const query::Tuple& key, std::uint64_t delta, query::ReduceFn fn);
+  // `at` and `packed` come from locate(key, packed); an insert interns the
+  // key's new strings into both, so they stay usable for mark_reported.
+  UpdateResult update(Located& at, std::uint64_t* packed, KeyColumns key,
+                      std::uint64_t delta, query::ReduceFn fn);
 
   // Read the aggregate for a key, if present.
   [[nodiscard]] std::optional<std::uint64_t> read(const query::Tuple& key) const;
@@ -62,6 +103,7 @@ class RegisterChain {
   // exactly one packet per key when the last switch operator is stateful
   // (paper §3.1.3). Returns false if the key is not stored.
   bool mark_reported(const query::Tuple& key);
+  bool mark_reported(const Located& at, const std::uint64_t* packed);
 
   // End-of-window poll: all stored (key, aggregate) pairs, register by
   // register (deterministic order).
@@ -93,12 +135,45 @@ class RegisterChain {
   [[nodiscard]] const RegisterChainConfig& config() const noexcept { return cfg_; }
 
  private:
-  struct Slot {
-    bool occupied = false;
-    bool reported = false;
-    query::Tuple key;
-    std::uint64_t value = 0;
+  // Per-window interning of string key columns: a string's id indexes
+  // strs_, found through an open-addressing table over its Tuple hash.
+  class StringPool {
+   public:
+    static constexpr std::uint64_t kAbsent = ~std::uint64_t{0};
+    [[nodiscard]] std::uint64_t find(std::uint64_t hash, std::string_view s) const noexcept;
+    std::uint64_t intern(std::uint64_t hash, const query::Value& v);
+    [[nodiscard]] const query::SharedStr& str(std::uint64_t id) const { return strs_[id]; }
+    void clear() noexcept;
+
+   private:
+    void rehash(std::size_t cap);
+    std::vector<query::SharedStr> strs_;
+    std::vector<std::uint64_t> hashes_;
+    std::vector<std::uint32_t> table_;  // ids; kEmptyId marks a free cell
   };
+
+  static constexpr std::size_t kValueWord = 0;
+  static constexpr std::size_t kFlagsWord = 1;
+  static constexpr std::size_t kKeyWord = 2;
+  static constexpr std::uint64_t kOccupied = 1;
+  static constexpr std::uint64_t kReported = 2;
+
+  void lay_out(std::vector<query::ValueKind> kinds);
+  // Whether `key` has the chain's arity and column kinds.
+  [[nodiscard]] bool fits(const query::Tuple& key) const noexcept;
+  // Writes the key's slot words into `out` (kAbsent for a string not yet
+  // interned, which no stored key holds) and returns its Tuple::hash.
+  std::uint64_t pack(KeyColumns key, std::uint64_t* out, bool& complete) const noexcept;
+  // The slot holding the located key, or null.
+  [[nodiscard]] std::uint64_t* find(const Located& at, const std::uint64_t* packed) noexcept;
+  [[nodiscard]] const std::uint64_t* find(const Located& at,
+                                          const std::uint64_t* packed) const noexcept;
+  [[nodiscard]] std::uint64_t* slot(std::size_t d, std::size_t idx) noexcept {
+    return slots_.data() + (d * cfg_.entries_per_register + idx) * stride_;
+  }
+  [[nodiscard]] const std::uint64_t* slot(std::size_t d, std::size_t idx) const noexcept {
+    return slots_.data() + (d * cfg_.entries_per_register + idx) * stride_;
+  }
 
   // Bitmap helpers over occ_ (one bit per slot, registers concatenated in
   // depth order). The bitmap makes reset() and entries() O(stored keys)
@@ -110,11 +185,16 @@ class RegisterChain {
   void occ_set(std::size_t d, std::size_t slot) noexcept {
     occ_[d * occ_words_per_register() + slot / 64] |= std::uint64_t{1} << (slot % 64);
   }
+  template <typename F>
+  void for_each_occupied(F&& f) const;
 
   RegisterChainConfig cfg_;
   util::HashFamily hashes_;
-  std::vector<std::vector<Slot>> registers_;  // [depth][entries], exact mode
-  util::PageBuffer<std::uint64_t> occ_;       // occupancy bitmap, exact mode
+  std::vector<query::ValueKind> kinds_;    // per key column; empty until laid out
+  std::size_t stride_ = 0;                 // words per slot
+  util::PageBuffer<std::uint64_t> slots_;  // [depth][entries][stride], exact mode
+  util::PageBuffer<std::uint64_t> occ_;    // occupancy bitmap, exact mode
+  StringPool pool_;
   std::unique_ptr<state::HashPipeChain> hp_;  // hashpipe mode
   std::uint64_t stored_ = 0;
   std::uint64_t overflows_ = 0;

@@ -1,7 +1,10 @@
 #include "pisa/switch.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <stdexcept>
+#include <type_traits>
 
 #include "util/log.h"
 
@@ -12,15 +15,92 @@ using query::Operator;
 using query::Schema;
 using query::Tuple;
 
+namespace {
+
+// Tuple::hash's seed; packed keys fold the same per-column hashes.
+constexpr std::uint64_t kTupleHashSeed = 0x531a0badcafeULL;
+constexpr std::uint32_t kFreeCell = ~std::uint32_t{0};
+
+std::vector<query::ValueKind> result_kinds(const std::vector<query::Program>& programs) {
+  std::vector<query::ValueKind> kinds;
+  kinds.reserve(programs.size());
+  for (const auto& p : programs) kinds.push_back(p.result_kind());
+  return kinds;
+}
+
+}  // namespace
+
+void CompiledSwitchQuery::EntrySet::assign(std::vector<Tuple> entries) {
+  keys_.clear();
+  hashes_.clear();
+  index_.clear();
+  if (entries.empty()) return;
+  index_.assign(std::bit_ceil(entries.size() * 2), kFreeCell);
+  const std::size_t mask = index_.size() - 1;
+  for (Tuple& e : entries) {
+    const std::uint64_t h = e.hash();
+    std::size_t i = h & mask;
+    bool dup = false;
+    for (; index_[i] != kFreeCell; i = (i + 1) & mask) {
+      if (hashes_[index_[i]] == h && keys_[index_[i]] == e) {
+        dup = true;
+        break;
+      }
+    }
+    if (dup) continue;
+    index_[i] = static_cast<std::uint32_t>(keys_.size());
+    keys_.push_back(std::move(e));
+    hashes_.push_back(h);
+  }
+}
+
+bool CompiledSwitchQuery::EntrySet::contains(
+    std::uint64_t hash, const std::uint64_t* words, const query::Value* strs,
+    const std::vector<query::ValueKind>& kinds) const noexcept {
+  if (index_.empty()) return false;
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t i = hash & mask; index_[i] != kFreeCell; i = (i + 1) & mask) {
+    const std::uint32_t id = index_[i];
+    if (hashes_[id] != hash || keys_[id].size() != kinds.size()) continue;
+    const auto& vals = keys_[id].values;
+    bool equal = true;
+    for (std::size_t c = 0; c < kinds.size() && equal; ++c) {
+      if (kinds[c] == query::ValueKind::kString) {
+        equal = vals[c].is_string() && vals[c].as_string() == strs[c].as_string();
+      } else {
+        equal = vals[c].is_uint() && vals[c].as_uint() == words[c];
+      }
+    }
+    if (equal) return true;
+  }
+  return false;
+}
+
 CompiledSwitchQuery::CompiledSwitchQuery(const query::StreamNode& node, Options opts)
     : node_(node), opts_(std::move(opts)) {
   assert(node_.kind == query::StreamNode::Kind::kSource);
   assert(node_.schemas.size() == node_.ops.size() + 1);
   assert(opts_.partition <= node_.ops.size());
 
+  source_width_ = node_.schemas[0].size();
+  std::size_t width = 0;
+  std::size_t key_width = 0;
+  const auto chain_config = [&](std::size_t i, int value_bits) {
+    const auto it = opts_.sizing.find(i);
+    const RegisterSizing rs = it != opts_.sizing.end() ? it->second : RegisterSizing{};
+    RegisterChainConfig rc;
+    rc.entries_per_register = rs.entries;
+    rc.depth = rs.depth;
+    rc.key_bits = stateful_key_bits(node_, i);
+    rc.value_bits = value_bits;
+    rc.hash_seed = opts_.hash_seed;
+    rc.hashpipe = rs.sketch;
+    return rc;
+  };
   for (std::size_t i = 0; i < opts_.partition; ++i) {
     const Operator& op = node_.ops[i];
     const Schema& in = node_.schemas[i];
+    width = std::max(width, node_.schemas[i + 1].size());
     CompiledOp cop;
     cop.kind = op.kind;
     cop.op_index = i;
@@ -31,21 +111,20 @@ CompiledSwitchQuery::CompiledSwitchQuery(const query::StreamNode& node, Options 
         break;
       case OpKind::kFilterIn:
         for (const auto& m : op.match_exprs) cop.match.push_back(m->bind(in));
+        cop.kinds = result_kinds(cop.match);
         cop.table_name = op.table_name;
+        key_width = std::max(key_width, cop.match.size());
         break;
       case OpKind::kMap:
         for (const auto& p : op.projections) cop.projections.push_back(p.expr->bind(in));
+        cop.kinds = result_kinds(cop.projections);
         break;
       case OpKind::kDistinct: {
-        const auto it = opts_.sizing.find(i);
-        const RegisterSizing rs = it != opts_.sizing.end() ? it->second : RegisterSizing{};
-        RegisterChainConfig rc;
-        rc.entries_per_register = rs.entries;
-        rc.depth = rs.depth;
-        rc.key_bits = stateful_key_bits(node_, i);
-        rc.value_bits = 1;
-        rc.hash_seed = opts_.hash_seed;
-        cop.chain = std::make_unique<RegisterChain>(rc);
+        for (std::size_t c = 0; c < in.size(); ++c) cop.key_idx.push_back(c);
+        for (const auto& col : in.columns()) cop.key_kinds.push_back(col.kind);
+        RegisterChainConfig rc = chain_config(i, 1);
+        rc.hashpipe = false;
+        cop.chain = std::make_unique<RegisterChain>(rc, cop.key_kinds);
         break;
       }
       case OpKind::kReduce: {
@@ -53,29 +132,32 @@ CompiledSwitchQuery::CompiledSwitchQuery(const query::StreamNode& node, Options 
           const auto idx = in.index_of(k);
           assert(idx);
           cop.key_idx.push_back(*idx);
+          cop.key_kinds.push_back(in.at(*idx).kind);
         }
         const auto vidx = in.index_of(op.value_col);
         assert(vidx);
         cop.value_idx = *vidx;
         cop.fn = op.fn;
-        const auto it = opts_.sizing.find(i);
-        const RegisterSizing rs = it != opts_.sizing.end() ? it->second : RegisterSizing{};
-        RegisterChainConfig rc;
-        rc.entries_per_register = rs.entries;
-        rc.depth = rs.depth;
-        rc.key_bits = stateful_key_bits(node_, i);
-        rc.value_bits = 32;
-        rc.hash_seed = opts_.hash_seed;
-        rc.hashpipe = rs.sketch;
-        cop.chain = std::make_unique<RegisterChain>(rc);
+        cop.chain = std::make_unique<RegisterChain>(chain_config(i, 32), cop.key_kinds);
         // Fold the following threshold filter, if present and included in
         // the partition.
         if (i + 1 < opts_.partition) cop.folded = foldable_threshold(node_, i + 1);
         break;
       }
     }
+    cop.key_has_strings = std::find(cop.key_kinds.begin(), cop.key_kinds.end(),
+                                    query::ValueKind::kString) != cop.key_kinds.end();
+    key_width = std::max(key_width, cop.key_idx.size());
     ops_.push_back(std::move(cop));
   }
+  for (RowBuffer& b : rows_) {
+    b.w.assign(width, 0);
+    b.s.assign(width, query::Value{});
+  }
+  key_w_.assign(key_width, 0);
+  key_s_.assign(key_width, nullptr);
+  pending_.packed.assign(key_width, 0);
+  match_s_.assign(key_width, query::Value{});
 
   if (!ops_.empty() && ops_.back().kind == OpKind::kReduce) {
     tail_reduce_ = &ops_.back();
@@ -89,87 +171,194 @@ CompiledSwitchQuery::CompiledSwitchQuery(const query::StreamNode& node, Options 
 }
 
 bool CompiledSwitchQuery::process_into(const Tuple& source, EmitSink& sink) {
+  prepare(source);
+  return finish(source, sink);
+}
+
+void CompiledSwitchQuery::prepare(const Tuple& source) {
   ++packets_seen_;
-  // Borrow the caller's tuple until an op actually rewrites it: the common
-  // paths (filter drop, register update with no emission) never copy the
-  // 14-column PHV at all. `owned` materializes only when a map fires; the
-  // copy at an emit site only happens for packets that mirror a record.
-  const Tuple* cur = &source;
-  Tuple owned;
-  const auto emit_cur = [&](EmitRecord::Kind kind, std::size_t op_index) {
-    ++emitted_;
-    if (cur == &owned) {
-      sink.append(EmitRecord{kind, opts_.qid, opts_.source_index, opts_.level, op_index,
-                             std::move(owned)});
-    } else {
-      sink.append(EmitRecord{kind, opts_.qid, opts_.source_index, opts_.level, op_index, *cur});
-    }
-  };
-  for (auto& cop : ops_) {
+  if (!ops_.empty() && source.size() < source_width_) {
+    throw std::out_of_range("CompiledSwitchQuery: source tuple narrower than its schema");
+  }
+  pending_.live = run(SourceRow{source}, 0, nullptr);
+}
+
+bool CompiledSwitchQuery::finish(const Tuple& source, EmitSink& sink) {
+  if (!pending_.live) return false;
+  pending_.live = false;
+  if (pending_.w == nullptr) return run(SourceRow{source}, pending_.op, &sink);
+  return run(WordRow{pending_.w, pending_.s}, pending_.op, &sink);
+}
+
+template <typename Row>
+bool CompiledSwitchQuery::run(const Row& row, std::size_t first, EmitSink* sink) {
+  // Operators read the row in place: filters, maps and register keys run on
+  // u64 words, and a Tuple is built only for a mirrored record.
+  for (std::size_t k = first; k < ops_.size(); ++k) {
+    CompiledOp& cop = ops_[k];
     switch (cop.kind) {
-      case OpKind::kFilter: {
-        if (cop.pred(*cur).as_uint() == 0) return false;
+      case OpKind::kFilter:
+        if (cop.pred.eval_uint(row) == 0) return false;
         break;
-      }
       case OpKind::kFilterIn: {
-        Tuple key;
-        key.values.reserve(cop.match.size());
-        for (const auto& m : cop.match) key.values.push_back(m(*cur));
-        if (!cop.entries.contains(key)) return false;
+        std::uint64_t h = kTupleHashSeed;
+        for (std::size_t c = 0; c < cop.match.size(); ++c) {
+          if (cop.kinds[c] == query::ValueKind::kString) {
+            match_s_[c] = cop.match[c].eval(row);
+            h = util::hash_combine(h, util::fnv1a64(match_s_[c].as_string()));
+          } else {
+            key_w_[c] = cop.match[c].eval_uint(row);
+            h = util::hash_combine(h, util::hash_u64(key_w_[c], 0));
+          }
+        }
+        if (!cop.entries.contains(h, key_w_.data(), match_s_.data(), cop.kinds)) return false;
         break;
       }
       case OpKind::kMap: {
-        Tuple next;
-        next.values.reserve(cop.projections.size());
-        for (const auto& p : cop.projections) next.values.push_back(p(*cur));
-        owned = std::move(next);
-        cur = &owned;
-        break;
+        RowBuffer* next = &rows_[0];
+        if constexpr (std::is_same_v<Row, WordRow>) {
+          if (row.w == rows_[0].w.data()) next = &rows_[1];
+        }
+        for (std::size_t c = 0; c < cop.projections.size(); ++c) {
+          if (cop.kinds[c] == query::ValueKind::kString) {
+            next->s[c] = cop.projections[c].eval(row);
+          } else {
+            next->w[c] = cop.projections[c].eval_uint(row);
+          }
+        }
+        return run(WordRow{next->w.data(), next->s.data()}, k + 1, sink);
       }
-      case OpKind::kDistinct: {
-        const auto r = cop.chain->update(*cur, 1, query::ReduceFn::kBitOr);
-        ++probe_tally_[std::min(r.probes, kProbeTallyMax)];
-        if (r.overflow) {
-          ++overflows_;
-          emit_cur(EmitRecord::Kind::kOverflow, cop.op_index);
-          return true;
-        }
-        if (!r.newly_inserted) return false;  // duplicate within window
-        break;
-      }
-      case OpKind::kReduce: {
-        Tuple key = query::project(*cur, cop.key_idx);
-        const std::uint64_t delta = cur->at(cop.value_idx).as_uint();
-        const auto r = cop.chain->update(key, delta, cop.fn);
-        ++probe_tally_[std::min(r.probes, kProbeTallyMax)];
-        if (r.overflow) {
-          ++overflows_;
-          // The SP re-runs the reduce (and everything after) for this key.
-          emit_cur(EmitRecord::Kind::kOverflow, cop.op_index);
-          return true;
-        }
-        bool report = false;
-        if (cop.folded) {
-          const bool passes = cop.folded->strict ? r.value > cop.folded->threshold
-                                                 : r.value >= cop.folded->threshold;
-          if (passes) report = cop.chain->mark_reported(key);
-        } else {
-          report = r.newly_inserted;
-        }
-        if (!report) return false;
-        Tuple out = std::move(key);
-        out.values.emplace_back(r.value);
-        ++emitted_;
-        ++key_reports_;
-        sink.append(EmitRecord{EmitRecord::Kind::kKeyReport, opts_.qid, opts_.source_index,
-                               opts_.level, poll_entry_, std::move(out)});
+      case OpKind::kDistinct:
+      case OpKind::kReduce:
+        if (sink != nullptr) return run_stateful(row, k, *sink);
+        hold(row, k);
         return true;
-      }
     }
   }
+  if (sink == nullptr) {
+    hold(row, ops_.size());
+    return true;
+  }
   // Stateless tail: the tuple itself streams to the SP.
-  emit_cur(EmitRecord::Kind::kStream, opts_.partition);
+  emit(EmitRecord::Kind::kStream, opts_.partition, row_tuple(row, opts_.partition), *sink);
   return true;
+}
+
+template <typename Row>
+void CompiledSwitchQuery::hold(const Row& row, std::size_t k) {
+  pending_.op = k;
+  pending_.located = k < ops_.size() && !ops_[k].chain->sketch();
+  if (pending_.located) {
+    pending_.at = ops_[k].chain->locate(gather_key(ops_[k], row), pending_.packed.data());
+  }
+  if constexpr (std::is_same_v<Row, WordRow>) {
+    pending_.w = row.w;
+    pending_.s = row.s;
+  } else {
+    pending_.w = nullptr;
+  }
+}
+
+template <typename Row>
+bool CompiledSwitchQuery::run_stateful(const Row& row, std::size_t k, EmitSink& sink) {
+  CompiledOp& cop = ops_[k];
+  const RegisterChain::KeyColumns key = gather_key(cop, row);
+  // The key prepare() located, or this one now.
+  if (!(pending_.located && pending_.op == k) && !cop.chain->sketch()) {
+    pending_.at = cop.chain->locate(key, pending_.packed.data());
+  }
+  pending_.located = false;
+  RegisterChain::Located& at = pending_.at;
+  std::uint64_t* packed = pending_.packed.data();
+  if (cop.kind == OpKind::kDistinct) {
+    const auto r = cop.chain->update(at, packed, key, 1, query::ReduceFn::kBitOr);
+    ++probe_tally_[std::min(r.probes, kProbeTallyMax)];
+    if (r.overflow) {
+      ++overflows_;
+      emit(EmitRecord::Kind::kOverflow, cop.op_index, row_tuple(row, cop.op_index), sink);
+      return true;
+    }
+    if (!r.newly_inserted) return false;  // duplicate within window
+    return run(row, k + 1, &sink);
+  }
+  const std::uint64_t delta = row.uint_at(cop.value_idx);
+  // A HashPipe chain keeps Tuple keys (state/hashpipe.h).
+  const bool sketch = cop.chain->sketch();
+  Tuple sketch_key;
+  if (sketch) sketch_key = key_tuple(cop);
+  const auto r = sketch ? cop.chain->update(sketch_key, delta, cop.fn)
+                        : cop.chain->update(at, packed, key, delta, cop.fn);
+  ++probe_tally_[std::min(r.probes, kProbeTallyMax)];
+  if (r.overflow) {
+    ++overflows_;
+    // The SP re-runs the reduce (and everything after) for this key.
+    emit(EmitRecord::Kind::kOverflow, cop.op_index, row_tuple(row, cop.op_index), sink);
+    return true;
+  }
+  bool report = false;
+  if (cop.folded) {
+    const bool passes = cop.folded->strict ? r.value > cop.folded->threshold
+                                           : r.value >= cop.folded->threshold;
+    if (passes) {
+      report = sketch ? cop.chain->mark_reported(sketch_key) : cop.chain->mark_reported(at, packed);
+    }
+  } else {
+    report = r.newly_inserted;
+  }
+  if (!report) return false;
+  Tuple out = sketch ? std::move(sketch_key) : key_tuple(cop);
+  out.values.emplace_back(r.value);
+  ++key_reports_;
+  emit(EmitRecord::Kind::kKeyReport, poll_entry_, std::move(out), sink);
+  return true;
+}
+
+Tuple CompiledSwitchQuery::row_tuple(const SourceRow& row, std::size_t) const { return row.t; }
+
+Tuple CompiledSwitchQuery::row_tuple(const WordRow& row, std::size_t schema_index) const {
+  const Schema& schema = node_.schemas[schema_index];
+  Tuple t;
+  t.values.reserve(schema.size());
+  for (std::size_t c = 0; c < schema.size(); ++c) {
+    if (schema.at(c).kind == query::ValueKind::kString) {
+      t.values.push_back(row.s[c]);
+    } else {
+      t.values.emplace_back(row.w[c]);
+    }
+  }
+  return t;
+}
+
+template <typename Row>
+RegisterChain::KeyColumns CompiledSwitchQuery::gather_key(const CompiledOp& cop, const Row& row) {
+  for (std::size_t c = 0; c < cop.key_idx.size(); ++c) {
+    if (cop.key_kinds[c] == query::ValueKind::kString) {
+      key_s_[c] = &row.value_at(cop.key_idx[c]);
+    } else {
+      key_w_[c] = row.uint_at(cop.key_idx[c]);
+    }
+  }
+  return {key_w_.data(), cop.key_has_strings ? key_s_.data() : nullptr};
+}
+
+Tuple CompiledSwitchQuery::key_tuple(const CompiledOp& cop) const {
+  Tuple t;
+  t.values.reserve(cop.key_idx.size() + 1);
+  for (std::size_t c = 0; c < cop.key_idx.size(); ++c) {
+    if (cop.key_kinds[c] == query::ValueKind::kString) {
+      t.values.push_back(*key_s_[c]);
+    } else {
+      t.values.emplace_back(key_w_[c]);
+    }
+  }
+  return t;
+}
+
+void CompiledSwitchQuery::emit(EmitRecord::Kind kind, std::size_t op_index, Tuple tuple,
+                               EmitSink& sink) {
+  ++emitted_;
+  sink.append(EmitRecord{kind, opts_.qid, opts_.source_index, opts_.level, op_index,
+                         std::move(tuple)});
 }
 
 std::optional<EmitRecord> CompiledSwitchQuery::process(const Tuple& source) {
@@ -251,8 +440,7 @@ bool CompiledSwitchQuery::set_filter_entries(const std::string& table_name,
                                              std::vector<Tuple> entries) {
   for (auto& cop : ops_) {
     if (cop.kind == OpKind::kFilterIn && cop.table_name == table_name) {
-      cop.entries.clear();
-      for (auto& e : entries) cop.entries.insert(std::move(e));
+      cop.entries.assign(std::move(entries));
       return true;
     }
   }
@@ -389,8 +577,9 @@ void Switch::process_one(const Tuple& source, EmitSink& sink) {
     }
   }
   const std::size_t before = sink.size();
+  for (auto& p : pipelines_) p->prepare(source);
   for (auto& p : pipelines_) {
-    if (p->process_into(source, sink)) {
+    if (p->finish(source, sink)) {
       ++stats_.records_emitted;
       if (sink.records().back().kind == EmitRecord::Kind::kOverflow) ++stats_.overflow_records;
     }

@@ -6,6 +6,14 @@
 // flag cause a mirrored packet — an EmitRecord — on the monitoring port,
 // which the emitter turns into stream-processor input (paper Figure 6).
 //
+// Like the metadata fields of a P4 pipeline, a pipeline's intermediate
+// values are u64 words: filters and maps run typed query::Programs over
+// the source tuple and then over a per-pipeline word row, and register
+// keys are packed from those words (pisa/register.h). A Tuple is built
+// only for an emitted record. The switch runs each packet in two passes
+// over its pipelines (prepare, then finish) so that the pipelines'
+// register misses overlap; records come out in pipeline order.
+//
 // The driver-facing surface (install / update_filter_entries /
 // poll_and_reset) mirrors what Sonata's runtime does to BMV2/Tofino over
 // Thrift, including the modelled per-update latency used by the
@@ -108,8 +116,17 @@ class CompiledSwitchQuery {
 
   // Process one source tuple; a mirrored record is appended to `sink` if
   // the report flag is set at the end of the pipeline. Returns whether a
-  // record was emitted.
+  // record was emitted. Equivalent to prepare() then finish().
   bool process_into(const query::Tuple& source, EmitSink& sink);
+
+  // The two halves of process_into. prepare() runs the stateless prefix up
+  // to the first register operator, locates its key in the registers and
+  // prefetches the slots; finish() runs the rest, emitting any record. A
+  // switch prepares every pipeline before finishing the first, so their
+  // register misses overlap. finish() must follow prepare() with the same
+  // source tuple, before this pipeline sees another.
+  void prepare(const query::Tuple& source);
+  bool finish(const query::Tuple& source, EmitSink& sink);
 
   // Convenience wrapper around process_into for single-packet callers.
   [[nodiscard]] std::optional<EmitRecord> process(const query::Tuple& source);
@@ -210,19 +227,65 @@ class CompiledSwitchQuery {
   }
 
  private:
+  // The row a pipeline reads once a map has rewritten the packet: one u64
+  // word per numeric column and a Value per string column, parallel arrays
+  // indexed by column (the other array's entry is stale and never read).
+  struct WordRow {
+    const std::uint64_t* w;
+    const query::Value* s;
+    [[nodiscard]] std::uint64_t uint_at(std::size_t i) const noexcept { return w[i]; }
+    [[nodiscard]] const query::Value& value_at(std::size_t i) const noexcept { return s[i]; }
+  };
+  // The source tuple (PHV) before any map; its width is checked once per
+  // packet.
+  struct SourceRow {
+    const query::Tuple& t;
+    [[nodiscard]] std::uint64_t uint_at(std::size_t i) const noexcept {
+      return t.values[i].as_uint();
+    }
+    [[nodiscard]] const query::Value& value_at(std::size_t i) const noexcept {
+      return t.values[i];
+    }
+  };
+  struct RowBuffer {
+    std::vector<std::uint64_t> w;
+    std::vector<query::Value> s;
+  };
+
+  // A filter_in table: entry tuples behind an open-addressing index over
+  // their Tuple::hash, probed with packed match keys.
+  class EntrySet {
+   public:
+    void assign(std::vector<query::Tuple> entries);
+    void clear() noexcept { assign({}); }
+    [[nodiscard]] bool contains(std::uint64_t hash, const std::uint64_t* words,
+                                const query::Value* strs,
+                                const std::vector<query::ValueKind>& kinds) const noexcept;
+
+   private:
+    std::vector<query::Tuple> keys_;
+    std::vector<std::uint64_t> hashes_;
+    std::vector<std::uint32_t> index_;  // key ids; ~0 marks a free cell
+  };
+
   struct CompiledOp {
     query::OpKind kind = query::OpKind::kFilter;
     std::size_t op_index = 0;
     // filter
-    query::Expr::Evaluator pred;
+    query::Program pred;
     // filter_in
-    std::vector<query::Expr::Evaluator> match;
+    std::vector<query::Program> match;
     std::string table_name;
-    std::unordered_set<query::Tuple, query::TupleHasher> entries;
+    EntrySet entries;
+    // map / filter_in: kind of each program's result
+    std::vector<query::ValueKind> kinds;
     // map
-    std::vector<query::Expr::Evaluator> projections;
-    // distinct / reduce
+    std::vector<query::Program> projections;
+    // distinct / reduce: the key's columns in the op's input row and their
+    // kinds (a distinct's key is the whole row)
     std::vector<std::size_t> key_idx;
+    std::vector<query::ValueKind> key_kinds;
+    bool key_has_strings = false;
     std::size_t value_idx = 0;
     query::ReduceFn fn = query::ReduceFn::kSum;
     std::unique_ptr<RegisterChain> chain;
@@ -230,11 +293,48 @@ class CompiledSwitchQuery {
     std::optional<FoldedThreshold> folded;
   };
 
+  // Runs ops_[first..) over `row`; a map continues over a WordRow. With no
+  // sink (prepare) it stops at the first register operator or the end and
+  // records where in pending_.
+  template <typename Row>
+  bool run(const Row& row, std::size_t first, EmitSink* sink);
+  // Records in pending_ that the packet stopped before ops_[k] over `row`,
+  // locating the key when ops_[k] is an exact register op.
+  template <typename Row>
+  void hold(const Row& row, std::size_t k);
+  // The stateful op at ops_[k]: its register update and what follows.
+  template <typename Row>
+  bool run_stateful(const Row& row, std::size_t k, EmitSink& sink);
+  // The row as a Tuple shaped like node_.schemas[schema_index].
+  [[nodiscard]] query::Tuple row_tuple(const SourceRow& row, std::size_t schema_index) const;
+  [[nodiscard]] query::Tuple row_tuple(const WordRow& row, std::size_t schema_index) const;
+  // Gathers a stateful op's key columns into key_w_ / key_s_.
+  template <typename Row>
+  RegisterChain::KeyColumns gather_key(const CompiledOp& cop, const Row& row);
+  [[nodiscard]] query::Tuple key_tuple(const CompiledOp& cop) const;
+  void emit(EmitRecord::Kind kind, std::size_t op_index, query::Tuple tuple, EmitSink& sink);
+
   const query::StreamNode& node_;
   Options opts_;
   std::vector<CompiledOp> ops_;
   CompiledOp* tail_reduce_ = nullptr;  // set when the last op is a reduce
   std::size_t poll_entry_ = 0;
+  std::size_t source_width_ = 0;
+  RowBuffer rows_[2];  // a map writes the buffer its input row is not in
+  // Where prepare() stopped: the op to resume at and its row (null words:
+  // the source row); `located` when that op's key is in at/packed.
+  struct Pending {
+    bool live = false;
+    std::size_t op = 0;
+    const std::uint64_t* w = nullptr;
+    const query::Value* s = nullptr;
+    bool located = false;
+    RegisterChain::Located at;
+    std::vector<std::uint64_t> packed;
+  } pending_;
+  std::vector<std::uint64_t> key_w_;
+  std::vector<const query::Value*> key_s_;
+  std::vector<query::Value> match_s_;  // filter_in string match results
   std::uint64_t packets_seen_ = 0;
   std::uint64_t emitted_ = 0;
   std::uint64_t overflows_ = 0;

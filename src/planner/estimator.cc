@@ -29,7 +29,12 @@ InstrumentedResult run_instrumented(const StreamNode& node, std::span<const Tupl
       chain.set_filter_entries(op.table_name, *front_filter_entries);
     }
   }
-  for (const Tuple& t : tuples) chain.ingest(t, 0);
+  // Only the counters are read, so a reduce-free chain's outputs are
+  // dropped as they reach the chain end instead of piling up for a window.
+  for (const Tuple& t : tuples) {
+    chain.ingest(t, 0);
+    chain.discard_outputs();
+  }
 
   // Up to the first reduce `r`, packets flow one by one: n_after[k] is what
   // reached ops[k], and a distinct's key count is what it let through.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <utility>
 
 #include "net/dns.h"
 #include "util/ip.h"
@@ -22,29 +23,6 @@ namespace {
 
 [[nodiscard]] bool is_logical(BinOp op) noexcept {
   return op == BinOp::kAnd || op == BinOp::kOr;
-}
-
-[[nodiscard]] std::uint64_t apply_bin(BinOp op, std::uint64_t a, std::uint64_t b) noexcept {
-  switch (op) {
-    case BinOp::kAdd: return a + b;
-    case BinOp::kSub: return a - b;
-    case BinOp::kMul: return a * b;
-    case BinOp::kDiv: return b == 0 ? 0 : a / b;
-    case BinOp::kMod: return b == 0 ? 0 : a % b;
-    case BinOp::kBitAnd: return a & b;
-    case BinOp::kBitOr: return a | b;
-    case BinOp::kShl: return b >= 64 ? 0 : a << b;
-    case BinOp::kShr: return b >= 64 ? 0 : a >> b;
-    case BinOp::kEq: return a == b;
-    case BinOp::kNe: return a != b;
-    case BinOp::kLt: return a < b;
-    case BinOp::kLe: return a <= b;
-    case BinOp::kGt: return a > b;
-    case BinOp::kGe: return a >= b;
-    case BinOp::kAnd: return (a != 0 && b != 0) ? 1 : 0;
-    case BinOp::kOr: return (a != 0 || b != 0) ? 1 : 0;
-  }
-  return 0;
 }
 
 }  // namespace
@@ -286,71 +264,164 @@ void Expr::collect_columns(std::vector<std::string>& out) const {
   }
 }
 
-Expr::Evaluator Expr::bind(const Schema& schema) const {
-  switch (kind) {
-    case Kind::kCol: {
-      const auto idx = schema.index_of(col);
-      const std::size_t i = idx.value_or(0);
-      return [i](const Tuple& t) { return t.at(i); };
+std::uint64_t Program::compare(BinOp op, const Value& a, const Value& b) noexcept {
+  const bool eq = a == b;
+  switch (op) {
+    case BinOp::kEq: return eq ? 1 : 0;
+    case BinOp::kNe: return eq ? 0 : 1;
+    case BinOp::kLt: return a < b ? 1 : 0;
+    case BinOp::kLe: return (a < b || eq) ? 1 : 0;
+    case BinOp::kGt: return b < a ? 1 : 0;
+    case BinOp::kGe: return (b < a || eq) ? 1 : 0;
+    default: return 0;
+  }
+}
+
+Value Program::dns_prefix(std::string_view name, std::uint64_t labels) {
+  return Value{net::dns_name_prefix(name, static_cast<std::size_t>(labels))};
+}
+
+// Emits an expression tree in post order, tracking both stack depths.
+class ProgramBuilder {
+ public:
+  explicit ProgramBuilder(const Schema& schema) : schema_(schema) {}
+
+  Program build(const Expr& e) {
+    kind_of_root_ = e.result_kind(schema_);
+    if (kind_of_root_ == ValueKind::kString) {
+      emit_string(e);
+    } else {
+      emit_numeric(e);
     }
-    case Kind::kConst: {
-      const Value v = constant;
-      return [v](const Tuple&) { return v; };
+    p_.kind_ = kind_of_root_;
+    p_.depth_ = max_depth_;
+    return std::move(p_);
+  }
+
+ private:
+  using Code = Program::Code;
+
+  void push(Code code, std::uint32_t arg = 0, std::uint64_t imm = 0, BinOp op = BinOp::kAdd) {
+    // Fuse a column read with the constant operation applied to it. A jump
+    // target always follows a kBool, so no fused pair straddles one.
+    if ((code == Code::kBinConst || code == Code::kIpPrefix) && !p_.code_.empty() &&
+        p_.code_.back().code == Code::kCol) {
+      Program::Instr& last = p_.code_.back();
+      last.code = code == Code::kBinConst ? Code::kColBinConst : Code::kColIpPrefix;
+      last.op = op;
+      last.imm = imm;
+      return;
     }
-    case Kind::kBin: {
-      auto l = lhs->bind(schema);
-      auto r = rhs->bind(schema);
-      const BinOp o = op;
-      if (is_comparison(o)) {
-        return [l = std::move(l), r = std::move(r), o](const Tuple& t) -> Value {
-          const Value a = l(t);
-          const Value b = r(t);
-          if (a.is_string() || b.is_string()) {
-            const bool eq = a == b;
-            bool res = false;
-            switch (o) {
-              case BinOp::kEq: res = eq; break;
-              case BinOp::kNe: res = !eq; break;
-              case BinOp::kLt: res = a < b; break;
-              case BinOp::kLe: res = a < b || eq; break;
-              case BinOp::kGt: res = b < a; break;
-              case BinOp::kGe: res = b < a || eq; break;
-              default: break;
-            }
-            return Value{static_cast<std::uint64_t>(res)};
-          }
-          return Value{apply_bin(o, a.as_uint(), b.as_uint())};
-        };
-      }
-      return [l = std::move(l), r = std::move(r), o](const Tuple& t) -> Value {
-        return Value{apply_bin(o, l(t).as_uint(), r(t).as_uint())};
-      };
+    p_.code_.push_back({code, op, arg, imm});
+    switch (code) {
+      case Code::kCol: case Code::kConst: ++n_; break;
+      case Code::kBin: --n_; break;
+      case Code::kAndJump: case Code::kOrJump: --n_; break;  // the fall-through path pops
+      case Code::kToUint: --m_; ++n_; break;
+      case Code::kStrCol: case Code::kStrConst: ++m_; break;
+      case Code::kToStr: --n_; ++m_; break;
+      case Code::kStrCmp: m_ -= 2; ++n_; break;
+      case Code::kContains: --m_; ++n_; break;
+      default: break;
     }
-    case Kind::kIpPrefix: {
-      auto a = arg->bind(schema);
-      const int bits = level;
-      return [a = std::move(a), bits](const Tuple& t) -> Value {
-        return Value{static_cast<std::uint64_t>(
-            util::ipv4_prefix(static_cast<std::uint32_t>(a(t).as_uint()), bits))};
-      };
+    if (code >= Code::kToUint) p_.strings_ = true;
+    if (code == Code::kToStr || code == Code::kDnsPrefix) p_.temps_ = true;
+    max_depth_ = std::max({max_depth_, n_, m_});
+  }
+
+  // Leaves the node's value on the numeric stack (a string reads as 0).
+  void emit_numeric(const Expr& e) {
+    if (e.result_kind(schema_) == ValueKind::kString) {
+      emit_string(e);
+      push(Code::kToUint);
+      return;
     }
-    case Kind::kDnsPrefix: {
-      auto a = arg->bind(schema);
-      const auto labels = static_cast<std::size_t>(level);
-      return [a = std::move(a), labels](const Tuple& t) -> Value {
-        return Value{net::dns_name_prefix(a(t).as_string(), labels)};
-      };
-    }
-    case Kind::kPayloadContains: {
-      auto a = arg->bind(schema);
-      const std::string kw = keyword;
-      return [a = std::move(a), kw](const Tuple& t) -> Value {
-        const bool hit = a(t).as_string().find(kw) != std::string_view::npos;
-        return Value{static_cast<std::uint64_t>(hit)};
-      };
+    switch (e.kind) {
+      case Expr::Kind::kCol:
+        push(Code::kCol, column_index(e));
+        return;
+      case Expr::Kind::kConst:
+        push(Code::kConst, 0, e.constant.as_uint());
+        return;
+      case Expr::Kind::kBin:
+        emit_bin(e);
+        return;
+      case Expr::Kind::kIpPrefix:
+        emit_numeric(*e.arg);
+        push(Code::kIpPrefix, 0, static_cast<std::uint64_t>(static_cast<std::int64_t>(e.level)));
+        return;
+      case Expr::Kind::kPayloadContains:
+        emit_string(*e.arg);
+        p_.keywords_.push_back(e.keyword);
+        push(Code::kContains, static_cast<std::uint32_t>(p_.keywords_.size() - 1));
+        return;
+      case Expr::Kind::kDnsPrefix:
+        break;  // string kind, handled above
     }
   }
-  return [](const Tuple&) { return Value{std::uint64_t{0}}; };
-}
+
+  // Leaves the node's value on the string stack (a number as a Value).
+  void emit_string(const Expr& e) {
+    if (e.result_kind(schema_) != ValueKind::kString) {
+      emit_numeric(e);
+      push(Code::kToStr);
+      return;
+    }
+    switch (e.kind) {
+      case Expr::Kind::kCol:
+        push(Code::kStrCol, column_index(e));
+        return;
+      case Expr::Kind::kConst:
+        p_.strs_.push_back(e.constant);
+        push(Code::kStrConst, static_cast<std::uint32_t>(p_.strs_.size() - 1));
+        return;
+      case Expr::Kind::kDnsPrefix:
+        emit_string(*e.arg);
+        push(Code::kDnsPrefix, 0, static_cast<std::uint64_t>(static_cast<std::int64_t>(e.level)));
+        return;
+      default:
+        return;  // every other kind is numeric
+    }
+  }
+
+  void emit_bin(const Expr& e) {
+    const BinOp op = e.op;
+    if (op == BinOp::kAnd || op == BinOp::kOr) {
+      emit_numeric(*e.lhs);
+      const std::size_t jump = p_.code_.size();
+      push(op == BinOp::kAnd ? Code::kAndJump : Code::kOrJump);
+      emit_numeric(*e.rhs);
+      push(Code::kBool);
+      p_.code_[jump].arg = static_cast<std::uint32_t>(p_.code_.size());
+      return;
+    }
+    const bool strings = e.lhs->result_kind(schema_) == ValueKind::kString ||
+                         e.rhs->result_kind(schema_) == ValueKind::kString;
+    if (is_comparison(op) && strings) {
+      emit_string(*e.lhs);
+      emit_string(*e.rhs);
+      push(Code::kStrCmp, 0, 0, op);
+      return;
+    }
+    emit_numeric(*e.lhs);
+    if (e.rhs->kind == Expr::Kind::kConst && e.rhs->constant.is_uint()) {
+      push(Code::kBinConst, 0, e.rhs->constant.as_uint(), op);
+      return;
+    }
+    emit_numeric(*e.rhs);
+    push(Code::kBin, 0, 0, op);
+  }
+
+  [[nodiscard]] std::uint32_t column_index(const Expr& e) const {
+    return static_cast<std::uint32_t>(schema_.index_of(e.col).value_or(0));
+  }
+
+  const Schema& schema_;
+  Program p_;
+  ValueKind kind_of_root_ = ValueKind::kUint;
+  std::size_t n_ = 0, m_ = 0, max_depth_ = 0;
+};
+
+Program Expr::bind(const Schema& schema) const { return ProgramBuilder(schema).build(*this); }
 
 }  // namespace sonata::query

@@ -130,7 +130,7 @@ void ChainExecutor::process(const Tuple& in, Tuple* movable, std::size_t i) {
     BoundOp& op = ops_[i];
     switch (op.kind) {
       case OpKind::kFilter:
-        if (op.pred(*t).as_uint() == 0) return;
+        if (op.pred.eval_uint(query::TupleRow{*t}) == 0) return;
         break;
       case OpKind::kFilterIn: {
         // The probe key is rebuilt into a reused scratch tuple (inline

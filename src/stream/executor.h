@@ -59,6 +59,10 @@ class ChainExecutor {
   // Flush stateful operators (ascending), collect outputs, clear state.
   [[nodiscard]] std::vector<query::Tuple> end_window();
 
+  // Drop the outputs buffered so far; entered() keeps counting them. For
+  // callers that read only the counters (the planner's cost estimator).
+  void discard_outputs() noexcept { pending_.clear(); }
+
   // Update a dynamic-refinement filter table executed on the SP side.
   bool set_filter_entries(const std::string& table_name, std::vector<query::Tuple> entries);
 
@@ -84,11 +88,11 @@ class ChainExecutor {
  private:
   struct BoundOp {
     query::OpKind kind = query::OpKind::kFilter;
-    query::Expr::Evaluator pred;                      // filter
-    std::vector<query::Expr::Evaluator> match;        // filter_in
+    query::Program pred;                              // filter
+    std::vector<query::Program> match;                // filter_in
     util::FlatSet entries;                            // filter_in (persists windows)
     query::Tuple probe_scratch;                       // reused filter_in probe key
-    std::vector<query::Expr::Evaluator> projections;  // map
+    std::vector<query::Program> projections;          // map
     std::vector<std::size_t> key_idx;                 // reduce
     std::size_t value_idx = 0;
     // per-window keyed state behind the engine facade: exact mode is the

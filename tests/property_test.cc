@@ -31,6 +31,14 @@ struct ChainParam {
   std::size_t keys;
 };
 
+// Names and prints a case by its fields, so test names are the same in
+// every build (gtest would otherwise print the struct's raw bytes).
+std::string chain_param_name(const ChainParam& p) {
+  return "n" + std::to_string(p.entries) + "_d" + std::to_string(p.depth) + "_k" +
+         std::to_string(p.keys);
+}
+void PrintTo(const ChainParam& p, std::ostream* os) { *os << chain_param_name(p); }
+
 class RegisterChainProperty : public ::testing::TestWithParam<ChainParam> {};
 
 TEST_P(RegisterChainProperty, StoredPlusOverflowEqualsDistinctKeys) {
@@ -67,7 +75,10 @@ INSTANTIATE_TEST_SUITE_P(Sweep, RegisterChainProperty,
                          ::testing::Values(ChainParam{64, 1, 32}, ChainParam{64, 1, 64},
                                            ChainParam{64, 2, 96}, ChainParam{256, 1, 256},
                                            ChainParam{256, 3, 512}, ChainParam{1024, 2, 2048},
-                                           ChainParam{1024, 4, 4096}));
+                                           ChainParam{1024, 4, 4096}),
+                         [](const ::testing::TestParamInfo<ChainParam>& info) {
+                           return chain_param_name(info.param);
+                         });
 
 // Collision rate falls monotonically with depth at fixed load.
 TEST(RegisterChainProperty, DeeperIsNeverWorse) {
