@@ -115,6 +115,30 @@ class PhaseAccum {
   std::uint64_t total_ = 0;
 };
 
+// RAII span: records `name` from construction to destruction (or stop())
+// when tracing was on at construction (no clock read otherwise). `name` and
+// `cat` must be string literals, as for TraceRecorder::record.
+class Span {
+ public:
+  Span(const char* name, const char* cat) noexcept : name_(name), cat_(cat) {
+    if (TraceRecorder::global().enabled()) start_ = now_ns();
+  }
+  Span(const Span&) = delete;
+  Span& operator=(const Span&) = delete;
+  ~Span() { stop(); }
+
+  void stop() {
+    if (start_ == 0) return;
+    TraceRecorder::global().record(name_, cat_, start_, now_ns() - start_);
+    start_ = 0;
+  }
+
+ private:
+  const char* name_;
+  const char* cat_;
+  std::uint64_t start_ = 0;  // 0 = inactive
+};
+
 // RAII interval: on destruction (or stop()) adds the elapsed time to the
 // accumulator and, when tracing is on, records a span named after the
 // phase. Inactive (no clock read) unless metrics or tracing is enabled.

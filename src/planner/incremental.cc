@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "obs/tracing.h"
 #include "pisa/compile.h"
 #include "util/log.h"
 
@@ -63,6 +64,12 @@ TenantUsage IncrementalPlanner::tenant_usage(std::string_view name) const {
     ++usage.queries;
   }
   return usage;
+}
+
+std::optional<TenantBudget> IncrementalPlanner::tenant_budget(std::string_view name) const {
+  const auto it = tenants_.find(name);
+  if (it == tenants_.end()) return std::nullopt;
+  return it->second;
 }
 
 std::vector<std::string> IncrementalPlanner::tenant_names() const {
@@ -172,8 +179,8 @@ void IncrementalPlanner::full_resolve() {
   ++full_solves_;
 }
 
-util::Expected<AdmitId, AdmissionDiagnostic> IncrementalPlanner::admit(const Query& q,
-                                                                       std::string_view tenant) {
+std::optional<AdmissionDiagnostic> IncrementalPlanner::precheck(const Query& q,
+                                                              std::string_view tenant) const {
   for (const auto& e : entries_) {
     if (e.q->id() == q.id()) {
       AdmissionDiagnostic d;
@@ -184,15 +191,76 @@ util::Expected<AdmitId, AdmissionDiagnostic> IncrementalPlanner::admit(const Que
       return d;
     }
   }
-  const auto tenant_it = tenants_.find(tenant);
-  if (tenant_it == tenants_.end()) {
+  if (!tenant_defined(tenant)) {
     AdmissionDiagnostic d;
     d.code = AdmissionDiagnostic::Code::kUnknownTenant;
     d.tenant = std::string(tenant);
     d.message = "tenant \"" + std::string(tenant) + "\" was never defined";
     return d;
   }
-  const TenantBudget budget = tenant_it->second;
+  return std::nullopt;
+}
+
+util::Expected<AdmitId, AdmissionDiagnostic> IncrementalPlanner::admit(const Query& q,
+                                                                       std::string_view tenant) {
+  const obs::Span span("plan.admit", "planner");
+  if (auto d = precheck(q, tenant)) return *d;
+  auto placed = place(q, tenant);
+  if (!placed) return placed.error();
+  recompute(/*allow_full_solve=*/true);
+  SONATA_INFO("planner", "admitted \"%s\" (handle %llu, tenant \"%s\"): objective=%llu",
+              q.name().c_str(), static_cast<unsigned long long>(*placed),
+              entries_.back().tenant.c_str(), static_cast<unsigned long long>(objective_));
+  return placed;
+}
+
+util::Expected<std::vector<AdmitId>, AdmissionDiagnostic> IncrementalPlanner::admit_batch(
+    std::span<const Admission> batch) {
+  const obs::Span span("plan.admit", "planner");
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const Query& q = *batch[i].q;
+    if (auto d = precheck(q, batch[i].tenant)) return *d;
+    for (std::size_t j = 0; j < i; ++j) {
+      if (batch[j].q->id() != q.id()) continue;
+      AdmissionDiagnostic d;
+      d.code = AdmissionDiagnostic::Code::kDuplicateQueryId;
+      d.tenant = std::string(batch[i].tenant);
+      d.message = "query id " + std::to_string(q.id()) + " appears twice in the batch (\"" +
+                  batch[j].q->name() + "\")";
+      return d;
+    }
+    if (tenants_.find(batch[i].tenant)->second.limited()) {
+      AdmissionDiagnostic d;
+      d.code = AdmissionDiagnostic::Code::kValidation;
+      d.tenant = std::string(batch[i].tenant);
+      d.message =
+          "tenant \"" + d.tenant + "\" has a budget: its queries are admitted one at a time";
+      return d;
+    }
+  }
+  if (batch.empty()) return std::vector<AdmitId>{};
+  std::vector<AdmitId> ids;
+  for (const Admission& a : batch) {
+    auto placed = place(*a.q, a.tenant);
+    assert(placed && "unlimited installs always place (partition 0 fits)");
+    ids.push_back(*placed);
+  }
+  if (budget_constrained()) {
+    // Budgeted tenants' placements must not move: keep the greedy ones.
+    recompute(/*allow_full_solve=*/true);
+  } else {
+    // One joint solve over the whole set, as a static plan_windows() runs.
+    all_sp_cap_ = false;
+    full_resolve();
+  }
+  SONATA_INFO("planner", "admitted a batch of %zu queries: objective=%llu", batch.size(),
+              static_cast<unsigned long long>(objective_));
+  return ids;
+}
+
+util::Expected<AdmitId, AdmissionDiagnostic> IncrementalPlanner::place(const Query& q,
+                                                                       std::string_view tenant) {
+  const TenantBudget budget = tenants_.find(tenant)->second;
   const TenantUsage usage = tenant_usage(tenant);
 
   auto installer = std::make_unique<ChainInstaller>(cfg_, q, windows_, window_packets_);
@@ -317,10 +385,6 @@ util::Expected<AdmitId, AdmissionDiagnostic> IncrementalPlanner::admit(const Que
   e.min_cost = min_cost;
   const AdmitId id = e.id;
   entries_.push_back(std::move(e));
-  recompute(/*allow_full_solve=*/true);
-  SONATA_INFO("planner", "admitted \"%s\" (handle %llu, tenant \"%s\"): objective=%llu",
-              q.name().c_str(), static_cast<unsigned long long>(id),
-              entries_.back().tenant.c_str(), static_cast<unsigned long long>(objective_));
   return id;
 }
 

@@ -33,6 +33,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -103,12 +104,31 @@ class IncrementalPlanner {
   void define_tenant(std::string_view name, TenantBudget budget);
   [[nodiscard]] bool tenant_defined(std::string_view name) const;
   [[nodiscard]] TenantUsage tenant_usage(std::string_view name) const;
+  // nullopt for a tenant that was never defined.
+  [[nodiscard]] std::optional<TenantBudget> tenant_budget(std::string_view name) const;
   [[nodiscard]] std::vector<std::string> tenant_names() const;
 
   // Place `q` for `tenant` ("" = the unlimited default tenant). `q` must be
   // validated and outlive the placement (until withdraw or destruction).
   util::Expected<AdmitId, AdmissionDiagnostic> admit(const query::Query& q,
                                                      std::string_view tenant = {});
+
+  // One query of a batch admission.
+  struct Admission {
+    const query::Query* q = nullptr;
+    std::string_view tenant;  // "" = the unlimited default tenant
+  };
+  // Admit `batch` with one solve: the whole active set goes through the
+  // plan_joint fall-back once, as a from-scratch plan_windows() over it in
+  // admission order would, where admitting the queries one by one may
+  // search once per query. (With active budgeted placements, which must
+  // not move, the greedy placements are certified once instead.) All or
+  // nothing: a duplicate query id, an undefined tenant or a tenant with a
+  // budget rejects the whole batch before anything is placed (a budget's
+  // rejections depend on arrival order, so budgeted tenants admit one
+  // query at a time). Returns the handles in batch order.
+  util::Expected<std::vector<AdmitId>, AdmissionDiagnostic> admit_batch(
+      std::span<const Admission> batch);
   util::Expected<util::Ok, AdmissionDiagnostic> withdraw(AdmitId id);
 
   // Assemble the active set into an executable plan (stage layout, exec
@@ -141,6 +161,14 @@ class IncrementalPlanner {
     std::uint64_t min_cost = 0;  // contention-free lower bound over its chains
   };
 
+  // Why `q` cannot be admitted for `tenant` whatever the layout: its id is
+  // already active, or the tenant was never defined.
+  [[nodiscard]] std::optional<AdmissionDiagnostic> precheck(const query::Query& q,
+                                                            std::string_view tenant) const;
+  // Greedy placement of `q` over the current layout, recorded as a new
+  // entry (no certification or re-solve yet).
+  util::Expected<AdmitId, AdmissionDiagnostic> place(const query::Query& q,
+                                                     std::string_view tenant);
   [[nodiscard]] bool raw_active() const noexcept;
   [[nodiscard]] bool budget_constrained() const;  // any active limited-tenant entry
   void rebuild_resources();

@@ -36,51 +36,87 @@ void ControlPlane::publish_tenant_gauges(std::string_view tenant) {
       .set(static_cast<std::int64_t>(usage.queries));
 }
 
+std::optional<AdmissionDiagnostic> ControlPlane::check(query::Query& q,
+                                                      std::string_view tenant) {
+  AdmissionDiagnostic d;
+  d.code = AdmissionDiagnostic::Code::kValidation;
+  d.tenant = std::string(tenant);
+  if (q.root() == nullptr) {
+    d.message = "query \"" + q.name() + "\" has no operator tree";
+  } else if (const std::string err = q.validate(); !err.empty()) {
+    // Idempotent for already-validated queries; a DSL front-end hands us
+    // validated ones, but programmatic callers may not have bothered.
+    d.message = "query \"" + q.name() + "\": " + err;
+  } else {
+    return std::nullopt;
+  }
+  return d;
+}
+
+void ControlPlane::reject(const AdmissionDiagnostic& d, const std::string& name) {
+  rejected_ctr_->add(1);
+  // Admissions have no window context; window_id 0 marks control-plane
+  // events that land between windows.
+  obs::Journal::global().emit(obs::EventType::kAdmissionRejected, 0, 0, 0,
+                              static_cast<std::int64_t>(d.code), 0, 0, name);
+}
+
+void ControlPlane::accept(planner::AdmitId id, std::list<query::Query>::iterator it,
+                          std::string_view tenant) {
+  owned_.emplace(id, it);
+  dirty_ = true;
+  accepted_ctr_->add(1);
+  obs::Journal::global().emit(obs::EventType::kAdmissionAccepted, 0, id, 0, 0, 0, 0,
+                              it->name());
+  publish_tenant_gauges(tenant);
+}
+
 util::Expected<planner::AdmitId, AdmissionDiagnostic> ControlPlane::submit(
     query::Query q, std::string_view tenant) {
-  if (q.root() == nullptr) {
-    AdmissionDiagnostic d;
-    d.code = AdmissionDiagnostic::Code::kValidation;
-    d.tenant = std::string(tenant);
-    d.message = "query \"" + q.name() + "\" has no operator tree";
-    rejected_ctr_->add(1);
-    // Admissions have no window context; window_id 0 marks control-plane
-    // events that land between windows.
-    obs::Journal::global().emit(obs::EventType::kAdmissionRejected, 0, 0, 0,
-                                static_cast<std::int64_t>(d.code), 0, 0, q.name());
-    return d;
-  }
-  // Idempotent for already-validated queries; a DSL front-end hands us
-  // validated ones, but programmatic callers may not have bothered.
-  if (const std::string err = q.validate(); !err.empty()) {
-    AdmissionDiagnostic d;
-    d.code = AdmissionDiagnostic::Code::kValidation;
-    d.tenant = std::string(tenant);
-    d.message = "query \"" + q.name() + "\": " + err;
-    rejected_ctr_->add(1);
-    obs::Journal::global().emit(obs::EventType::kAdmissionRejected, 0, 0, 0,
-                                static_cast<std::int64_t>(d.code), 0, 0, q.name());
-    return d;
+  if (auto d = check(q, tenant)) {
+    reject(*d, q.name());
+    return *d;
   }
   storage_.push_back(std::move(q));
   const auto it = std::prev(storage_.end());
   auto admitted = planner_.admit(*it, tenant);
   if (!admitted) {
-    const std::string rejected_name = it->name();
+    reject(admitted.error(), it->name());
     storage_.erase(it);
-    rejected_ctr_->add(1);
-    obs::Journal::global().emit(obs::EventType::kAdmissionRejected, 0, 0, 0,
-                                static_cast<std::int64_t>(admitted.error().code), 0, 0,
-                                rejected_name);
     return admitted.error();
   }
-  owned_.emplace(*admitted, it);
-  dirty_ = true;
-  accepted_ctr_->add(1);
-  obs::Journal::global().emit(obs::EventType::kAdmissionAccepted, 0, *admitted, 0, 0, 0, 0,
-                              it->name());
-  publish_tenant_gauges(tenant);
+  accept(*admitted, it, tenant);
   return *admitted;
+}
+
+util::Expected<std::vector<planner::AdmitId>, AdmissionDiagnostic> ControlPlane::submit_batch(
+    std::vector<Submission> batch) {
+  // A rejected batch counts every one of its queries as rejected.
+  for (auto& sub : batch) {
+    if (auto d = check(sub.q, sub.tenant)) {
+      for (const auto& s : batch) reject(*d, s.q.name());
+      return *d;
+    }
+  }
+  std::vector<std::list<query::Query>::iterator> stored;
+  std::vector<planner::IncrementalPlanner::Admission> admissions;
+  for (auto& sub : batch) {
+    storage_.push_back(std::move(sub.q));
+    stored.push_back(std::prev(storage_.end()));
+    admissions.push_back({&storage_.back(), sub.tenant});
+  }
+  auto admitted = planner_.admit_batch(admissions);
+  if (!admitted) {
+    for (const auto it : stored) {
+      reject(admitted.error(), it->name());
+      storage_.erase(it);
+    }
+    return admitted.error();
+  }
+  for (std::size_t i = 0; i < stored.size(); ++i) {
+    accept((*admitted)[i], stored[i], batch[i].tenant);
+  }
+  return admitted;
 }
 
 util::Expected<util::Ok, AdmissionDiagnostic> ControlPlane::withdraw(planner::AdmitId id) {

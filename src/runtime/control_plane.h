@@ -17,7 +17,9 @@
 #include <list>
 #include <map>
 #include <optional>
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "planner/incremental.h"
@@ -42,6 +44,16 @@ class ControlPlane {
   // constraint.
   [[nodiscard]] util::Expected<planner::AdmitId, planner::AdmissionDiagnostic> submit(
       query::Query q, std::string_view tenant = {});
+  // Admit a static list with one solve (IncrementalPlanner::admit_batch):
+  // all or nothing, and every tenant must be unlimited. Returns the handles
+  // in batch order.
+  struct Submission {
+    query::Query q;
+    std::string tenant;
+  };
+  [[nodiscard]] util::Expected<std::vector<planner::AdmitId>, planner::AdmissionDiagnostic>
+  submit_batch(std::vector<Submission> batch);
+
   [[nodiscard]] util::Expected<util::Ok, planner::AdmissionDiagnostic> withdraw(
       planner::AdmitId id);
 
@@ -61,6 +73,13 @@ class ControlPlane {
 
  private:
   void publish_tenant_gauges(std::string_view tenant);
+  // Validates `q` (a no-op for validated queries).
+  [[nodiscard]] std::optional<planner::AdmissionDiagnostic> check(query::Query& q,
+                                                                  std::string_view tenant);
+  // Count and journal a rejection / an admission.
+  void reject(const planner::AdmissionDiagnostic& d, const std::string& name);
+  void accept(planner::AdmitId id, std::list<query::Query>::iterator it,
+              std::string_view tenant);
 
   planner::IncrementalPlanner planner_;
   std::list<query::Query> storage_;  // stable addresses for admitted queries

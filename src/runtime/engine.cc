@@ -227,9 +227,22 @@ EngineBuilder::plan_only() {
   auto control = std::make_unique<ControlPlane>(planner_, std::move(windows_));
   have_training_ = false;
   for (const auto& [name, budget] : tenants_) control->define_tenant(name, budget);
-  for (auto& p : pending_) {
-    auto admitted = control->submit(std::move(p.q), p.tenant);
+  // A static list is one batch with one solve, unless a tenant has a
+  // budget: its rejections depend on arrival order, so it admits in turn.
+  const bool batch = std::all_of(pending_.begin(), pending_.end(), [&](const auto& p) {
+    const auto budget = control->planner().tenant_budget(p.tenant);
+    return budget && !budget->limited();
+  });
+  if (batch) {
+    std::vector<ControlPlane::Submission> submissions;
+    for (auto& p : pending_) submissions.push_back({std::move(p.q), std::move(p.tenant)});
+    auto admitted = control->submit_batch(std::move(submissions));
     if (!admitted) return admitted.error();
+  } else {
+    for (auto& p : pending_) {
+      auto admitted = control->submit(std::move(p.q), p.tenant);
+      if (!admitted) return admitted.error();
+    }
   }
   pending_.clear();
   PlannedSetup setup;

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "obs/journal.h"
+#include "obs/tracing.h"
 #include "pisa/extract.h"
 #include "runtime/plan_install.h"
 #include "util/cpu.h"
@@ -40,6 +41,7 @@ Fleet::Fleet(planner::Plan plan, std::size_t switch_count, std::size_t worker_th
   partial_windows_ctr_ = &reg.counter("sonata_fleet_partial_windows_total");
 
   // One identical switch program per ingress point.
+  obs::Span compile_span("pipeline.compile", "runtime");
   for (std::size_t i = 0; i < switch_count; ++i) {
     auto shard = std::make_unique<Shard>();
     shard->index = i;
@@ -65,6 +67,7 @@ Fleet::Fleet(planner::Plan plan, std::size_t switch_count, std::size_t worker_th
     (void)err;
     shards_.push_back(std::move(shard));
   }
+  compile_span.stop();
 
   // Pin shard i to worker i % threads; each shard has exactly one consumer.
   const std::size_t threads = std::min(worker_threads, switch_count);
@@ -749,12 +752,14 @@ void Fleet::apply_plan(planner::Plan plan) {
   // the unchanged ones (runtime state reset). Register-pressure faults are
   // not re-applied — the swap installs clean, like an auto-replan.
   sp_.reset();
+  obs::Span compile_span("pipeline.compile", "runtime");
   for (auto& shard : shards_) {
     PipelineBuild build = build_pipelines(plan, shard->sw->release_pipelines(), {});
     const std::string err = shard->sw->install(std::move(build.pipelines), build.resources);
     assert(err.empty() && "plan does not fit the switch it was planned for");
     (void)err;
   }
+  compile_span.stop();
   plan_ = std::move(plan);
   sp_ = std::make_unique<StreamProcessor>(plan_);
   raw_mirror_ = sp_->wants_raw_mirror();

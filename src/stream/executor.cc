@@ -119,6 +119,21 @@ void ChainExecutor::ingest_batch(std::span<Tuple> ts, std::size_t entry) {
   for (Tuple& t : ts) process(t, &t, entry);
 }
 
+inline bool ChainExecutor::filter_in_holds(BoundOp& op, const Tuple& t) {
+  // The probe key is rebuilt into a reused scratch tuple (inline storage,
+  // no allocation) and hashed exactly once: the flat table reuses the hash
+  // for the group probe and the stored-hash compare.
+  Tuple& key = op.probe_scratch;
+  key.values.clear();
+  for (const auto& m : op.match) key.values.push_back(m(t));
+  return op.entries.contains(key, key.hash());
+}
+
+bool ChainExecutor::passes(std::size_t k, const Tuple& t) {
+  assert(ops_[k].kind == OpKind::kFilterIn);
+  return filter_in_holds(ops_[k], t);
+}
+
 void ChainExecutor::process(const Tuple& in, Tuple* movable, std::size_t i) {
   // The operators read the current tuple through `t`; it is copied only
   // where it is stored (a distinct's set, the chain end), and a map's
@@ -132,16 +147,9 @@ void ChainExecutor::process(const Tuple& in, Tuple* movable, std::size_t i) {
       case OpKind::kFilter:
         if (op.pred.eval_uint(query::TupleRow{*t}) == 0) return;
         break;
-      case OpKind::kFilterIn: {
-        // The probe key is rebuilt into a reused scratch tuple (inline
-        // storage, no allocation) and hashed exactly once: the flat table
-        // reuses the hash for the group probe and the stored-hash compare.
-        Tuple& key = op.probe_scratch;
-        key.values.clear();
-        for (const auto& m : op.match) key.values.push_back(m(*t));
-        if (!op.entries.contains(key, key.hash())) return;
+      case OpKind::kFilterIn:
+        if (!filter_in_holds(op, *t)) return;
         break;
-      }
       case OpKind::kMap: {
         Tuple next;
         next.values.reserve(op.projections.size());
@@ -188,6 +196,8 @@ std::vector<Tuple> ChainExecutor::end_window() {
   for (std::size_t i = 0; i < ops_.size(); ++i) {
     BoundOp& op = ops_[i];
     if (op.kind != OpKind::kReduce) continue;
+    // A chain-ending reduce reports every key to the outputs: size them once.
+    if (i + 1 == ops_.size()) pending_.reserve(pending_.size() + op.agg.size());
     op.agg.drain_and_clear([&](Tuple&& key, std::uint64_t value) {
       Tuple out = std::move(key);
       out.values.emplace_back(value);

@@ -63,6 +63,12 @@ class ChainExecutor {
   // callers that read only the counters (the planner's cost estimator).
   void discard_outputs() noexcept { pending_.clear(); }
 
+  // Whether `t` passes the filter_in at ops[k], by the test the chain runs
+  // there. Nothing is counted or stored: the planner's estimator decides a
+  // dynamic filter's membership once and replays only the passing tuples
+  // from ops[k + 1] onwards.
+  [[nodiscard]] bool passes(std::size_t k, const query::Tuple& t);
+
   // Update a dynamic-refinement filter table executed on the SP side.
   bool set_filter_entries(const std::string& table_name, std::vector<query::Tuple> entries);
 
@@ -101,6 +107,9 @@ class ChainExecutor {
     state::DistinctEngine seen;   // distinct
     state::ReduceEngine agg;      // reduce
   };
+
+  // The filter_in membership test, shared by process() and passes().
+  static bool filter_in_holds(BoundOp& op, const query::Tuple& t);
 
   // The one operator loop behind every ingest path and the reduce flush:
   // runs `in` through ops[i..). `movable` is null or points at `in`, whose

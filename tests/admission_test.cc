@@ -226,7 +226,9 @@ TEST(AdmissionDiagnostics, OperatorErrorsAreStructured) {
 // Fuzz randomized submit/withdraw sequences: after every mutation, the
 // incremental planner's objective must equal a from-scratch plan_windows()
 // over the surviving queries in admission order — that is the certification
-// contract incremental.h documents.
+// contract incremental.h documents. Some steps admit a random batch of the
+// inactive queries at once (admit_batch), so later single admissions and
+// withdrawals also run on the state a batch leaves.
 TEST(IncrementalPlanner, FuzzCostEqualsFromScratchPlan) {
   const auto sc = testing::make_scenario(15, 60.0);
   planner::PlannerConfig cfg;
@@ -250,7 +252,26 @@ TEST(IncrementalPlanner, FuzzCostEqualsFromScratchPlan) {
 
   for (int step = 0; step < 24; ++step) {
     const std::size_t i = rng.uniform(qs.size());
-    if (handle[i]) {
+    if (rng.uniform(3) == 0) {
+      // A batch: a random subset of the inactive queries in random order.
+      std::vector<std::size_t> batch;
+      for (std::size_t j = 0; j < qs.size(); ++j) {
+        if (!handle[j] && rng.uniform(2) == 0) batch.push_back(j);
+      }
+      for (std::size_t j = batch.size(); j > 1; --j) std::swap(batch[j - 1], batch[rng.uniform(j)]);
+      std::vector<planner::IncrementalPlanner::Admission> admissions;
+      for (const std::size_t j : batch) admissions.push_back({&qs[j], ""});
+      const std::uint64_t full_before = inc.full_solves();
+      auto ids = inc.admit_batch(admissions);
+      ASSERT_TRUE(ids) << ids.error().to_string();
+      ASSERT_EQ(ids->size(), batch.size());
+      for (std::size_t k = 0; k < batch.size(); ++k) {
+        handle[batch[k]] = (*ids)[k];
+        admitted_order.push_back(batch[k]);
+      }
+      // One solve per batch, however many queries it carries.
+      EXPECT_EQ(inc.full_solves(), full_before + (batch.empty() ? 0 : 1)) << "step " << step;
+    } else if (handle[i]) {
       ASSERT_TRUE(inc.withdraw(*handle[i]));
       handle[i].reset();
       admitted_order.erase(std::find(admitted_order.begin(), admitted_order.end(), i));
@@ -273,6 +294,44 @@ TEST(IncrementalPlanner, FuzzCostEqualsFromScratchPlan) {
   }
   // The whole point: most mutations must certify without a joint re-solve.
   EXPECT_GT(inc.incremental_solves(), 0u);
+}
+
+// A batch is all or nothing: a duplicate id (against the active set or
+// inside the batch), an undefined tenant or a budgeted tenant rejects it
+// before anything is placed, and the planner keeps admitting afterwards.
+TEST(IncrementalPlanner, BatchRejectsWholeAndLeavesStateUsable) {
+  const auto sc = testing::make_scenario(15, 60.0);
+  planner::PlannerConfig cfg;
+  const auto windows = planner::materialize_windows(sc.trace, cfg.window);
+  const query::Query a = queries::make_newly_opened_tcp(sc.thresholds, cfg.window);
+  const query::Query b = queries::make_superspreader(sc.thresholds, cfg.window);
+  const query::Query c = queries::make_port_scan(sc.thresholds, cfg.window);
+  planner::IncrementalPlanner inc(cfg, windows);
+  inc.define_tenant("metered", planner::TenantBudget{4, planner::kUnlimited});
+
+  using Admission = planner::IncrementalPlanner::Admission;
+  const auto rejected = [&](std::vector<Admission> batch, AdmissionDiagnostic::Code code) {
+    auto ids = inc.admit_batch(batch);
+    ASSERT_FALSE(ids);
+    EXPECT_EQ(ids.error().code, code) << ids.error().to_string();
+    EXPECT_EQ(inc.active_queries(), 1u);
+  };
+  ASSERT_TRUE(inc.admit(a));
+  rejected({{&b, ""}, {&a, ""}}, AdmissionDiagnostic::Code::kDuplicateQueryId);
+  rejected({{&b, ""}, {&b, ""}}, AdmissionDiagnostic::Code::kDuplicateQueryId);
+  rejected({{&b, ""}, {&c, "nobody"}}, AdmissionDiagnostic::Code::kUnknownTenant);
+  rejected({{&b, ""}, {&c, "metered"}}, AdmissionDiagnostic::Code::kValidation);
+
+  auto ids = inc.admit_batch(std::vector<Admission>{{&b, ""}, {&c, ""}});
+  ASSERT_TRUE(ids);
+  ASSERT_EQ(ids->size(), 2u);
+  EXPECT_EQ(inc.query((*ids)[0]), &b);
+  EXPECT_EQ(inc.query((*ids)[1]), &c);
+  ASSERT_TRUE(inc.withdraw((*ids)[0]));
+  const planner::Plan reference =
+      planner::Planner(cfg).plan_windows(std::vector<query::Query>{a, c}, windows);
+  EXPECT_EQ(inc.objective(), reference.est_total_tuples);
+  EXPECT_EQ(inc.snapshot_plan().queries.size(), 2u);
 }
 
 // --- tenant DSL -------------------------------------------------------------

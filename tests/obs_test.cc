@@ -610,10 +610,37 @@ TEST(ObsEngine, PlanningEmitsSpansAndSearchNodesOnlyWhenOn) {
       << json;
   EXPECT_GT(nodes.value(), 0);
 
+  // An engine's start-up: its static list is admitted as one batch (one
+  // plan.admit span around the costing, one joint search) and its
+  // pipelines are compiled and installed under pipeline.compile.
+  const auto build_engine = [&] {
+    auto built = runtime::EngineBuilder()
+                     .planner(cfg)
+                     .training(scenario().trace)
+                     .admit(small_queries())
+                     .build();
+    ASSERT_TRUE(built);
+  };
+  const auto count = [](const std::string& json, const std::string& name) {
+    const std::string key = "\"name\": \"" + name + "\"";
+    std::size_t n = 0;
+    for (auto at = json.find(key); at != std::string::npos; at = json.find(key, at + 1)) ++n;
+    return n;
+  };
+  rec.clear();
+  rec.set_enabled(true);
+  build_engine();
+  rec.set_enabled(false);
+  const std::string engine_json = rec.to_chrome_json();
+  EXPECT_EQ(count(engine_json, "plan.admit"), 1u) << engine_json;
+  EXPECT_EQ(count(engine_json, "plan.search"), 1u) << engine_json;
+  EXPECT_EQ(count(engine_json, "pipeline.compile"), 1u) << engine_json;
+
   // Off (the default): no span, no metric.
   rec.clear();
   Registry::global().reset_values();
   (void)Planner(cfg).plan(small_queries(), scenario().trace);
+  build_engine();
   EXPECT_EQ(rec.size(), 0u);
   EXPECT_EQ(nodes.value(), 0);
 }

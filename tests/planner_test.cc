@@ -1,14 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "net/dns.h"
 #include "pisa/compile.h"
 #include "planner/estimator.h"
 #include "planner/planner.h"
 #include "planner/refine.h"
 #include "queries/catalog.h"
 #include "query/parser.h"
+#include "stream/executor.h"
 #include "test_trace.h"
 #include "util/hash.h"
 #include "util/ip.h"
+#include "util/stats.h"
 
 namespace sonata::planner {
 namespace {
@@ -394,6 +399,358 @@ TEST_F(EstimatorTest, NonRefinableQueryHasSingleLevel) {
   // Transition still works (partitioning without refinement).
   const auto& t = est.transition(0, kNoPrevLevel, 32);
   EXPECT_GT(t.n_after[0], 0u);
+}
+
+// --- the estimator's shared replays against one replay per quantity ----------
+
+// Two training windows with an attack behind every catalog query.
+std::vector<TupleWindow> shared_replay_windows() {
+  trace::BackgroundConfig bg;
+  bg.duration_sec = 6.0;
+  bg.flows_per_sec = 120.0;
+  bg.client_pool = 2000;
+  bg.server_pool = 400;
+  trace::TraceBuilder builder(7);
+  builder.background(bg);
+  trace::SynFloodConfig flood;
+  flood.victim = ipv4(99, 1, 0, 25);
+  flood.start_sec = 0.5;
+  flood.duration_sec = 5.0;
+  flood.pps = 600;
+  builder.add(flood);
+  trace::SshBruteForceConfig ssh;
+  ssh.victim = ipv4(77, 2, 0, 10);
+  ssh.start_sec = 0.5;
+  ssh.duration_sec = 5.0;
+  ssh.attempts_per_sec = 60;
+  builder.add(ssh);
+  trace::SuperspreaderConfig spread;
+  spread.spreader = ipv4(55, 3, 0, 7);
+  spread.start_sec = 0.5;
+  spread.duration_sec = 5.0;
+  spread.distinct_destinations = 1500;
+  builder.add(spread);
+  trace::PortScanConfig scan;
+  scan.scanner = ipv4(44, 4, 0, 3);
+  scan.target = ipv4(201, 10, 0, 1);
+  scan.start_sec = 0.5;
+  scan.duration_sec = 5.0;
+  scan.last_port = 1024;
+  builder.add(scan);
+  trace::DdosConfig ddos;
+  ddos.victim = ipv4(66, 5, 0, 9);
+  ddos.start_sec = 0.5;
+  ddos.duration_sec = 5.0;
+  ddos.distinct_sources = 1500;
+  ddos.pps = 600;
+  builder.add(ddos);
+  trace::SlowlorisConfig slow;
+  slow.victim = ipv4(33, 7, 0, 4);
+  slow.start_sec = 0.5;
+  slow.duration_sec = 5.0;
+  slow.attacker_count = 4;
+  slow.conns_per_attacker = 200;
+  builder.add(slow);
+  trace::ZorroConfig zorro;
+  zorro.attacker = ipv4(203, 0, 113, 9);
+  zorro.victim = ipv4(22, 8, 0, 6);
+  zorro.start_sec = 0.5;
+  zorro.probe_duration_sec = 5.0;
+  zorro.shell_at_sec = 1.0;
+  builder.add(zorro);
+  trace::DnsTunnelConfig tunnel;
+  tunnel.client = ipv4(11, 9, 0, 8);
+  tunnel.resolver = ipv4(8, 8, 8, 8);
+  tunnel.start_sec = 0.5;
+  tunnel.duration_sec = 5.0;
+  tunnel.queries_per_sec = 100;
+  builder.add(tunnel);
+  trace::DnsReflectionConfig reflection;
+  reflection.victim = ipv4(12, 10, 0, 3);
+  reflection.start_sec = 0.5;
+  reflection.duration_sec = 5.0;
+  reflection.pps = 400;
+  builder.add(reflection);
+  trace::MaliciousDomainConfig flux;
+  flux.resolver = ipv4(8, 8, 4, 4);
+  flux.start_sec = 0.5;
+  flux.duration_sec = 5.0;
+  builder.add(flux);
+  return materialize_windows(builder.build(), util::seconds(3));
+}
+
+// The estimator's quantities recomputed the slow way, each from its own
+// replay through public functions: a transition is run_instrumented over a
+// make_refined_node chain, a level's winners are the key column of the
+// make_winner_query output, and a relaxed threshold is the minimum
+// aggregate of the chain truncated after its last reduce over the coarsened
+// rows that satisfy the whole query.
+class ReferenceEstimator {
+ public:
+  ReferenceEstimator(const query::Query& q, const std::vector<TupleWindow>& windows,
+                     const CostEstimator& shape, double relax_margin)
+      : q_(q), windows_(windows), keys_(shape.keys()), levels_(shape.levels()),
+        refinable_(shape.refinable()), relax_margin_(relax_margin) {}
+
+  std::optional<std::uint64_t> relaxed(int s, int level) {
+    if (!refinable_ || level == levels_.back()) return std::nullopt;
+    const auto key = std::make_pair(s, level);
+    if (!relaxed_.contains(key)) relaxed_[key] = compute_relaxed(s, level);
+    return relaxed_.at(key);
+  }
+
+  const std::vector<Tuple>& winners(int level, std::size_t w) {
+    if (!winners_.contains(level)) {
+      const auto sources = q_.sources();
+      std::vector<std::shared_ptr<query::StreamNode>> per_source;
+      for (std::size_t s = 0; s < sources.size(); ++s) {
+        if (!has_stateful_op(*sources[s])) {
+          per_source.push_back(nullptr);
+          continue;
+        }
+        RefineOptions opts;
+        opts.level = level;
+        opts.relaxed_threshold = relaxed(static_cast<int>(s), level);
+        per_source.push_back(make_refined_node(*sources[s], keys_[s], opts));
+      }
+      const query::Query lq = make_winner_query(q_, level, per_source);
+      const auto idx = lq.root()->output_schema().index_of(keys_.front().key_column);
+      auto& per_window = winners_[level];
+      for (const TupleWindow& window : windows_) {
+        stream::QueryExecutor exec(lq);
+        for (const Tuple& t : window) exec.ingest_source_tuple(t);
+        std::vector<Tuple> keys;
+        for (const Tuple& out : exec.end_window()) {
+          if (!idx) continue;
+          Tuple k{{out.at(*idx)}};
+          if (std::find(keys.begin(), keys.end(), k) == keys.end()) keys.push_back(std::move(k));
+        }
+        per_window.push_back(std::move(keys));
+      }
+    }
+    return winners_.at(level).at(w);
+  }
+
+  TransitionCost transition(int s, int prev, int level) {
+    const query::StreamNode& src = *q_.sources().at(static_cast<std::size_t>(s));
+    std::shared_ptr<query::StreamNode> node;
+    if (refinable_) {
+      RefineOptions opts;
+      opts.level = level;
+      opts.prev_level = prev;
+      opts.filter_table_name = "est";
+      opts.relaxed_threshold = relaxed(s, level);
+      node = make_refined_node(src, keys_[static_cast<std::size_t>(s)], opts);
+    }
+    std::vector<std::vector<std::uint64_t>> n(node ? node->ops.size() + 1 : src.ops.size() + 1);
+    std::map<std::size_t, std::vector<std::uint64_t>> k;
+    for (std::size_t w = 0; w < windows_.size(); ++w) {
+      const auto run = run_instrumented(node ? *node : src, windows_[w],
+                                        prev == kNoPrevLevel ? nullptr : &winners(prev, w));
+      for (std::size_t i = 0; i < run.n_after.size(); ++i) n[i].push_back(run.n_after[i]);
+      for (const auto& [op, keys] : run.stateful_keys) k[op].push_back(keys);
+    }
+    TransitionCost cost;
+    for (auto& samples : n) cost.n_after.push_back(util::median_u64(samples));
+    for (auto& [op, samples] : k) cost.stateful_keys[op] = util::median_u64(samples);
+    return cost;
+  }
+
+ private:
+  std::optional<std::uint64_t> compute_relaxed(int s, int level) {
+    const query::StreamNode& src = *q_.sources().at(static_cast<std::size_t>(s));
+    const RefinementKey& key = keys_[static_cast<std::size_t>(s)];
+    std::size_t reduce = src.ops.size();
+    for (std::size_t i = 0; i < src.ops.size(); ++i) {
+      if (src.ops[i].kind == OpKind::kReduce) reduce = i;
+    }
+    if (reduce == src.ops.size() || !pisa::foldable_threshold(src, reduce + 1)) {
+      return std::nullopt;
+    }
+    const auto out_idx = q_.root()->output_schema().index_of(key.key_column);
+    const auto fine_idx = src.schemas[reduce + 1].index_of(key.key_column);
+    if (!out_idx || !fine_idx) return std::nullopt;
+
+    RefineOptions opts;
+    opts.level = level;
+    auto truncated = make_refined_node(src, key, opts);
+    for (std::size_t i = truncated->ops.size(); i-- > 0;) {
+      if (truncated->ops[i].kind == OpKind::kReduce) {
+        truncated->ops.resize(i + 1);
+        break;
+      }
+    }
+    EXPECT_EQ(query::validate_stream_node(*truncated), "");
+    const auto kidx = truncated->output_schema().index_of(key.key_column);
+    if (!kidx) return std::nullopt;
+
+    std::optional<std::uint64_t> min_agg;
+    for (const TupleWindow& window : windows_) {
+      // Keys the whole query reports in this window.
+      std::vector<Value> satisfying;
+      stream::QueryExecutor whole(q_);
+      for (const Tuple& t : window) whole.ingest_source_tuple(t);
+      for (const Tuple& out : whole.end_window()) satisfying.push_back(out.at(*out_idx));
+      // The source's own reports whose key satisfies the query, coarsened.
+      std::vector<Tuple> coarse_rows;
+      stream::ChainExecutor fine(src);
+      for (const Tuple& t : window) fine.ingest(t, 0);
+      for (Tuple row : fine.end_window()) {
+        if (std::find(satisfying.begin(), satisfying.end(), row.at(*fine_idx)) ==
+            satisfying.end()) {
+          continue;
+        }
+        row.values.pop_back();
+        Value& v = row.values.at(*kidx);
+        v = key.is_dns ? Value{net::dns_name_prefix(v.as_string(),
+                                                    static_cast<std::size_t>(level))}
+                       : Value{std::uint64_t{util::ipv4_prefix(
+                             static_cast<std::uint32_t>(v.as_uint()), level)}};
+        coarse_rows.push_back(std::move(row));
+      }
+      if (coarse_rows.empty()) continue;
+      stream::ChainExecutor coarse(*truncated);
+      for (const Tuple& t : window) coarse.ingest(t, 0);
+      for (Tuple row : coarse.end_window()) {
+        const std::uint64_t agg = row.values.back().as_uint();
+        row.values.pop_back();
+        if (std::find(coarse_rows.begin(), coarse_rows.end(), row) == coarse_rows.end()) continue;
+        min_agg = min_agg ? std::min(*min_agg, agg) : agg;
+      }
+    }
+    if (!min_agg) return std::nullopt;
+    const auto scaled =
+        static_cast<std::uint64_t>(static_cast<double>(*min_agg) * relax_margin_);
+    return scaled > 0 ? scaled - 1 : 0;
+  }
+
+  const query::Query& q_;
+  const std::vector<TupleWindow>& windows_;
+  std::vector<RefinementKey> keys_;
+  std::vector<int> levels_;
+  bool refinable_;
+  double relax_margin_;
+  std::map<std::pair<int, int>, std::optional<std::uint64_t>> relaxed_;
+  std::map<int, std::vector<std::vector<Tuple>>> winners_;
+};
+
+TEST(Estimator, SharedReplayMatchesReferenceReplays) {
+  const auto windows = shared_replay_windows();
+  ASSERT_GE(windows.size(), 2u);
+  queries::Thresholds th;
+  th.newly_opened = 600;
+  th.superspreader = 250;
+  th.port_scan = 150;
+  th.ddos = 600;
+  th.slowloris_bytes = 30000;
+  th.slowloris_ratio = 1500;
+  th.zorro_probes = 40;
+  th.dns_tunnel = 100;
+  th.dns_reflection = 300;
+  th.fast_flux = 60;
+  std::vector<query::Query> qs = queries::full_catalog(th, util::seconds(3));
+  // Shapes the shared replay leaves to their own replays: a reduce keyed on
+  // the raw field (coarsening lands after the threshold), two reduces, and
+  // sketched state (its executors differ from the estimator's exact ones).
+  qs.push_back(parse_one(R"(
+query raw_key_bytes id 90 window 3s {
+  packetStream
+    .filter(proto == 6)
+    .reduce(keys=(dIP), sum(pktlen))
+    .filter(pktlen > 20000)
+})"));
+  qs.push_back(parse_one(R"(
+query two_reduces id 91 window 3s {
+  packetStream
+    .filter(proto == 6)
+    .map(sIP = sIP, dIP = dIP, count = 1)
+    .reduce(keys=(sIP, dIP), sum(count))
+    .filter(count > 0)
+    .map(sIP = sIP, n = 1)
+    .reduce(keys=(sIP), sum(n))
+    .filter(n > 100)
+})"));
+  qs.push_back(queries::make_newly_opened_tcp(th, util::seconds(3)));
+  query::StateSpec sketch;
+  sketch.kind = query::StateSpec::Kind::kSketch;
+  qs.back().set_state_spec(sketch);
+
+  std::size_t relaxed_found = 0;
+  std::size_t nonempty_winners = 0;
+  bool saw_join = false;
+  bool saw_unrefinable = false;
+  for (const query::Query& q : qs) {
+    SCOPED_TRACE(q.name());
+    const auto sources = q.sources();
+    saw_join = saw_join || sources.size() > 1;
+    // Two fresh estimators read the quantities in opposite orders, so both
+    // the derived and the lazily computed paths are hit.
+    CostEstimator forward(q, windows, {8, 16, 24}, {1, 2});
+    CostEstimator backward(q, windows, {8, 16, 24}, {1, 2});
+    saw_unrefinable = saw_unrefinable || !forward.refinable();
+    ReferenceEstimator ref(q, windows, forward, 0.5);
+    const std::vector<int>& levels = forward.levels();
+    const std::vector<int> coarse(levels.begin(), levels.end() - 1);
+
+    std::vector<std::tuple<int, int, int>> transitions;
+    for (std::size_t s = 0; s < sources.size(); ++s) {
+      for (std::size_t li = 0; li < levels.size(); ++li) {
+        transitions.emplace_back(static_cast<int>(s), kNoPrevLevel, levels[li]);
+        for (std::size_t pi = 0; pi < li; ++pi) {
+          transitions.emplace_back(static_cast<int>(s), levels[pi], levels[li]);
+        }
+      }
+    }
+    const auto check_transition = [&](CostEstimator& est, int s, int prev, int level) {
+      SCOPED_TRACE("s" + std::to_string(s) + " L" + std::to_string(prev) + "->" +
+                   std::to_string(level));
+      const TransitionCost expected = ref.transition(s, prev, level);
+      const TransitionCost& got = est.transition(s, prev, level);
+      EXPECT_EQ(got.n_after, expected.n_after);
+      EXPECT_EQ(got.stateful_keys, expected.stateful_keys);
+    };
+    const auto check_relaxed = [&](CostEstimator& est, int s, int level) {
+      SCOPED_TRACE("s" + std::to_string(s) + " relaxed L" + std::to_string(level));
+      EXPECT_EQ(est.relaxed_threshold(s, level), ref.relaxed(s, level));
+    };
+    const auto check_winners = [&](CostEstimator& est, int level) {
+      for (std::size_t w = 0; w < windows.size(); ++w) {
+        SCOPED_TRACE("winners L" + std::to_string(level) + " w" + std::to_string(w));
+        EXPECT_EQ(est.winners(level, w), ref.winners(level, w));
+      }
+    };
+
+    for (const auto& [s, prev, level] : transitions) check_transition(forward, s, prev, level);
+    for (std::size_t s = 0; s < sources.size(); ++s) {
+      for (const int level : levels) check_relaxed(forward, static_cast<int>(s), level);
+    }
+    for (const int level : coarse) check_winners(forward, level);
+
+    for (const int level : coarse) check_winners(backward, level);
+    for (std::size_t s = sources.size(); s-- > 0;) {
+      for (const int level : levels) check_relaxed(backward, static_cast<int>(s), level);
+    }
+    for (auto it = transitions.rbegin(); it != transitions.rend(); ++it) {
+      const auto& [s, prev, level] = *it;
+      check_transition(backward, s, prev, level);
+    }
+
+    for (std::size_t s = 0; s < sources.size(); ++s) {
+      for (const int level : coarse) {
+        relaxed_found += ref.relaxed(static_cast<int>(s), level) ? 1 : 0;
+      }
+    }
+    for (const int level : coarse) {
+      for (std::size_t w = 0; w < windows.size(); ++w) {
+        nonempty_winners += ref.winners(level, w).empty() ? 0 : 1;
+      }
+    }
+  }
+  // The trace must exercise the derivations, not only their empty cases.
+  EXPECT_TRUE(saw_join);
+  EXPECT_TRUE(saw_unrefinable);
+  EXPECT_GE(relaxed_found, 30u);
+  EXPECT_GE(nonempty_winners, 60u);
 }
 
 // --- planner -----------------------------------------------------------------
