@@ -89,14 +89,13 @@ class CostEstimator {
   // without refinement never pay for them).
   [[nodiscard]] std::optional<std::uint64_t> relaxed_threshold(int source, int level);
 
+  // Cost of running `level` after `prev` (kNoPrevLevel at a chain head).
+  const TransitionCost& transition(int source, int prev, int level);
+
   // Winner keys at `level` for window `w`: the output keys of the winner
   // query (stateful sub-queries with relaxed thresholds; raw sources and
   // post-join operators excluded — see make_winner_query). These seed the
   // next refinement level's dynamic filters.
-
-  // Cost of running `level` after `prev` (kNoPrevLevel at a chain head).
-  const TransitionCost& transition(int source, int prev, int level);
-
   const std::vector<query::Tuple>& winners(int level, std::size_t w);
 
  private:

@@ -240,16 +240,31 @@ util::Expected<std::vector<AdmitId>, AdmissionDiagnostic> IncrementalPlanner::ad
   }
   if (batch.empty()) return std::vector<AdmitId>{};
   std::vector<AdmitId> ids;
-  for (const Admission& a : batch) {
-    auto placed = place(*a.q, a.tenant);
-    assert(placed && "unlimited installs always place (partition 0 fits)");
-    ids.push_back(*placed);
-  }
   if (budget_constrained()) {
-    // Budgeted tenants' placements must not move: keep the greedy ones.
+    // Budgeted tenants' placements must not move: place greedily around
+    // them and certify once.
+    for (const Admission& a : batch) {
+      auto placed = place(*a.q, a.tenant);
+      assert(placed && "unlimited installs always place (partition 0 fits)");
+      ids.push_back(*placed);
+    }
     recompute(/*allow_full_solve=*/true);
   } else {
-    // One joint solve over the whole set, as a static plan_windows() runs.
+    // One joint solve over the whole set, as a static plan_windows() runs;
+    // it places every entry, so none is placed greedily first.
+    for (const Admission& a : batch) {
+      Entry e;
+      e.id = next_id_++;
+      e.q = a.q;
+      e.tenant = std::string(a.tenant);
+      e.installer = std::make_unique<ChainInstaller>(cfg_, *a.q, windows_, window_packets_);
+      e.min_cost = ~std::uint64_t{0};
+      for (const auto& chain : e.installer->chains()) {
+        e.min_cost = std::min(e.min_cost, e.installer->optimistic_cost(chain));
+      }
+      ids.push_back(e.id);
+      entries_.push_back(std::move(e));
+    }
     all_sp_cap_ = false;
     full_resolve();
   }

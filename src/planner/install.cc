@@ -90,45 +90,35 @@ std::uint64_t ChainInstaller::optimistic_cost(const std::vector<int>& chain) {
         prev = level;
         continue;
       }
-      const TransitionCost& cost = est_->transition(static_cast<int>(s), prev, level);
-      const std::size_t max_p = max_partition(static_cast<int>(s), prev, level);
-      total += max_p > 0 ? cost.n_after[max_p] : 0;
+      const Step& st = step(static_cast<int>(s), prev, level);
+      total += st.max_p > 0 ? st.cost->n_after[st.max_p] : 0;
       prev = level;
     }
   }
   return total;
 }
 
-std::size_t ChainInstaller::max_partition(int source, int prev, int level) {
+ChainInstaller::Step& ChainInstaller::step(int source, int prev, int level) {
   const auto key = std::make_tuple(source, prev, level);
-  auto it = max_partition_cache_.find(key);
-  if (it != max_partition_cache_.end()) return it->second;
-  const auto node = refined_node(source, prev, level);
-  const std::size_t p = pisa::max_switch_prefix(*node);
-  max_partition_cache_.emplace(key, p);
-  return p;
-}
-
-std::shared_ptr<StreamNode> ChainInstaller::refined_node(int source, int prev, int level) {
-  const auto key = std::make_tuple(source, prev, level);
-  auto it = node_cache_.find(key);
-  if (it != node_cache_.end()) return it->second;
+  auto it = steps_.find(key);
+  if (it != steps_.end()) return it->second;
   const auto sources = q_->sources();
-  std::shared_ptr<StreamNode> node;
+  Step st;
+  st.cost = &est_->transition(source, prev, level);
   if (est_->refinable()) {
     RefineOptions opts;
     opts.level = level;
     opts.prev_level = prev;
     opts.filter_table_name = filter_table_name(q_->id(), source, level);
     opts.relaxed_threshold = est_->relaxed_threshold(source, level);
-    node = make_refined_node(*sources.at(static_cast<std::size_t>(source)),
-                             est_->keys().at(static_cast<std::size_t>(source)), opts);
+    st.node = make_refined_node(*sources.at(static_cast<std::size_t>(source)),
+                                est_->keys().at(static_cast<std::size_t>(source)), opts);
   } else {
     // Unrefined: share a validated copy of the original source chain.
-    node = std::make_shared<StreamNode>(*sources.at(static_cast<std::size_t>(source)));
+    st.node = std::make_shared<StreamNode>(*sources.at(static_cast<std::size_t>(source)));
   }
-  node_cache_.emplace(key, node);
-  return node;
+  st.max_p = pisa::max_switch_prefix(*st.node);
+  return steps_.emplace(key, std::move(st)).first->second;
 }
 
 // Partition choices to try, best (deepest) first, honoring mode limits.
@@ -192,13 +182,11 @@ std::uint64_t ChainInstaller::estimate_overflow_keys(std::uint64_t k, std::size_
   return overflowed;
 }
 
-const ChainInstaller::Sizing& ChainInstaller::sizing(int source, int prev, int level) {
-  const auto key = std::make_tuple(source, prev, level);
-  auto it = sizing_cache_.find(key);
-  if (it != sizing_cache_.end()) return it->second;
+const ChainInstaller::Sizing& ChainInstaller::sizing(Step& st) {
+  if (st.sizing) return *st.sizing;
   const Query& q = *q_;
-  const auto node = refined_node(source, prev, level);
-  const TransitionCost& cost = est_->transition(source, prev, level);
+  const auto& node = st.node;
+  const TransitionCost& cost = *st.cost;
 
   // Register sizing for every stateful op in the (potential) prefix:
   // target headroom * training keys, capped by the per-register memory
@@ -244,43 +232,63 @@ const ChainInstaller::Sizing& ChainInstaller::sizing(int source, int prev, int l
       out.overflow_extra[op_idx] = lost * (pkts_in / keys);
     }
   }
-  return sizing_cache_.emplace(key, std::move(out)).first->second;
+  return st.sizing.emplace(std::move(out));
 }
 
-const ProgramResources& ChainInstaller::resources(int source, int prev, int level,
+const ProgramResources& ChainInstaller::resources(Step& st, int source, int level,
                                                   std::size_t p) {
-  const auto key = std::make_tuple(source, prev, level, p);
-  auto it = resource_cache_.find(key);
-  if (it != resource_cache_.end()) return it->second;
-  ProgramResources pr = pisa::build_resources(*refined_node(source, prev, level), p,
-                                              sizing(source, prev, level).registers, q_->id(),
-                                              source, level);
-  return resource_cache_.emplace(key, std::move(pr)).first->second;
+  if (st.resources.empty()) st.resources.resize(st.max_p + 1);
+  if (!st.resources[p]) {
+    st.resources[p] = pisa::build_resources(*st.node, p, sizing(st).registers, q_->id(), source,
+                                            level);
+  }
+  return *st.resources[p];
 }
 
 std::optional<Installed> ChainInstaller::install(const std::vector<int>& chain,
                                                  std::vector<ProgramResources>& res,
                                                  bool raw_already, bool force_all_sp,
                                                  const InstallLimits& limits) {
-  const Query& q = *q_;
-  const auto sources = q.sources();
-  const std::size_t res_mark = res.size();
-  const pisa::SwitchConfig& switch_config = cfg_->switch_config;
-
-  // Stage fill of the partial layout, laid out once: every candidate below
-  // is probed against a copy of it. A layout the greedy cannot place
-  // admits no switch program at all; a withdrawal can leave one, since
-  // removing a program lets later tables move into earlier stages.
-  pisa::StageFill fill(switch_config);
+  // Stage fill of the partial layout, laid out once: every candidate is
+  // probed against a copy of it. A layout the greedy cannot place admits
+  // no switch program at all; a withdrawal can leave one, since removing a
+  // program lets later tables move into earlier stages.
+  pisa::StageFill fill(cfg_->switch_config);
   bool fill_ok = true;
-  for (const auto& pr : res) fill_ok = fill_ok && pisa::place(switch_config, fill, pr);
-  pisa::StageFill probe;
+  for (const auto& pr : res) fill_ok = fill_ok && pisa::place(cfg_->switch_config, fill, pr);
 
   Installed inst;
-  inst.pq.base = &q;
+  inst.pq.base = q_;
   inst.pq.refined = est_->refinable() && chain.size() > 1;
   inst.pq.chain = chain;
   if (est_->refinable()) inst.pq.keys = est_->keys();
+  const std::size_t res_mark = res.size();
+  if (!place_chain(chain, fill, fill_ok, raw_already, force_all_sp, limits, inst, &res)) {
+    res.resize(res_mark);
+    return std::nullopt;
+  }
+  inst.pq.est_tuples = inst.n;
+  return inst;
+}
+
+std::optional<Installed> ChainInstaller::install_cost(const std::vector<int>& chain,
+                                                      pisa::StageFill& fill, bool raw_already) {
+  Installed inst;
+  if (!place_chain(chain, fill, /*fill_ok=*/true, raw_already, /*force_all_sp=*/false, {}, inst,
+                   nullptr)) {
+    return std::nullopt;
+  }
+  return inst;
+}
+
+bool ChainInstaller::place_chain(const std::vector<int>& chain, pisa::StageFill& fill,
+                                 bool fill_ok, bool raw_already, bool force_all_sp,
+                                 const InstallLimits& limits, Installed& inst,
+                                 std::vector<ProgramResources>* res) {
+  const Query& q = *q_;
+  const auto sources = q.sources();
+  const pisa::SwitchConfig& switch_config = cfg_->switch_config;
+  pisa::StageFill probe;
 
   for (std::size_t s = 0; s < sources.size(); ++s) {
     const int si = static_cast<int>(s);
@@ -291,19 +299,8 @@ std::optional<Installed> ChainInstaller::install(const std::vector<int>& chain,
         prev = level;  // raw sources join in at the finest level only
         continue;
       }
-      const auto node = refined_node(si, prev, level);
-      const TransitionCost& cost = est_->transition(si, prev, level);
-      const std::size_t max_p = max_partition(si, prev, level);
-      const Sizing& sized = sizing(si, prev, level);
-
-      PlannedPipeline pipeline;
-      pipeline.qid = q.id();
-      pipeline.source_index = si;
-      pipeline.level = level;
-      pipeline.prev_level = prev;
-      pipeline.node = node;
-      if (prev != kNoPrevLevel) pipeline.filter_table = filter_table_name(q.id(), si, level);
-      pipeline.sizing = sized.registers;
+      Step& st = step(si, prev, level);
+      const Sizing& sized = sizing(st);
 
       // Cheapest feasible partition (cost = reported tuples + overflow
       // penalty of on-switch stateful ops; partition 0 costs the shared
@@ -314,7 +311,7 @@ std::optional<Installed> ChainInstaller::install(const std::vector<int>& chain,
       bool placed = false;
       std::uint64_t best_cost = ~std::uint64_t{0};
       std::size_t best_p = 0;
-      auto choices = partition_choices(*node, max_p, force_all_sp);
+      auto choices = partition_choices(*st.node, st.max_p, force_all_sp);
       if (limits.minimize_footprint) std::reverse(choices.begin(), choices.end());
       for (const std::size_t p : choices) {
         std::uint64_t contribution;
@@ -323,7 +320,7 @@ std::optional<Installed> ChainInstaller::install(const std::vector<int>& chain,
           contribution = (raw_already || inst.raw) ? 0 : window_packets_;
         } else {
           if (!fill_ok) continue;
-          const ProgramResources& pr = resources(si, prev, level, p);
+          const ProgramResources& pr = resources(st, si, level, p);
           if (inst.footprint.tables + pr.tables.size() > limits.max_tables ||
               inst.footprint.register_bits + pr.total_register_bits() >
                   limits.max_register_bits) {
@@ -331,7 +328,7 @@ std::optional<Installed> ChainInstaller::install(const std::vector<int>& chain,
           }
           probe = fill;
           if (!pisa::place(switch_config, probe, pr)) continue;
-          contribution = p < cost.n_after.size() ? cost.n_after[p] : 0;
+          contribution = p < st.cost->n_after.size() ? st.cost->n_after[p] : 0;
           for (const auto& [op_idx, extra] : sized.overflow_extra) {
             if (op_idx < p) contribution += extra;
           }
@@ -348,31 +345,36 @@ std::optional<Installed> ChainInstaller::install(const std::vector<int>& chain,
           placed = true;
         }
       }
-      if (!placed) {
-        res.resize(res_mark);
-        return std::nullopt;
-      }
-      pipeline.partition = best_p;
+      if (!placed) return false;
       if (best_p == 0) {
-        pipeline.est_tuples = 0;  // covered by the shared raw mirror
-        inst.raw = true;
+        inst.raw = true;  // covered by the shared raw mirror
       } else {
-        pipeline.est_tuples = best_cost;
         inst.n += best_cost;
-        const ProgramResources& pr = resources(si, prev, level, best_p);
+        const ProgramResources& pr = resources(st, si, level, best_p);
         inst.footprint.tables += pr.tables.size();
         inst.footprint.register_bits += pr.total_register_bits();
         const bool fits = pisa::place(switch_config, fill, pr);
         assert(fits);  // probed above
         (void)fits;
-        res.push_back(pr);
+        if (res != nullptr) res->push_back(pr);
       }
-      inst.pq.pipelines.push_back(std::move(pipeline));
+      if (res != nullptr) {
+        PlannedPipeline pipeline;
+        pipeline.qid = q.id();
+        pipeline.source_index = si;
+        pipeline.level = level;
+        pipeline.prev_level = prev;
+        pipeline.node = st.node;
+        if (prev != kNoPrevLevel) pipeline.filter_table = filter_table_name(q.id(), si, level);
+        pipeline.sizing = sized.registers;
+        pipeline.partition = best_p;
+        pipeline.est_tuples = best_p == 0 ? 0 : best_cost;
+        inst.pq.pipelines.push_back(std::move(pipeline));
+      }
       prev = level;
     }
   }
-  inst.pq.est_tuples = inst.n;
-  return inst;
+  return true;
 }
 
 Plan assemble_plan(const PlannerConfig& cfg, std::vector<PlannedQuery> queries,

@@ -83,9 +83,23 @@ class ChainInstaller {
                                    std::vector<pisa::ProgramResources>& res, bool raw_already,
                                    bool force_all_sp, const InstallLimits& limits = {});
 
+  // What an unlimited install() of `chain` would cost (n, raw, footprint;
+  // no plan records), on top of the layout whose stage fill is `fill`. The
+  // chosen programs are placed into `fill`, so a search can carry each
+  // prefix's fill down instead of re-laying the prefix per candidate.
+  std::optional<Installed> install_cost(const std::vector<int>& chain, pisa::StageFill& fill,
+                                        bool raw_already);
+
  private:
-  std::size_t max_partition(int source, int prev, int level);
-  std::shared_ptr<query::StreamNode> refined_node(int source, int prev, int level);
+  // The install loop: picks each pipeline's partition on top of `fill`
+  // (`fill_ok` false: the layout admits no switch program) and places the
+  // chosen programs into it, adding up n, raw and the footprint in `inst`.
+  // With `res` set it also records the pipelines in inst.pq and appends
+  // the chosen programs to `*res`. False when a pipeline has no feasible
+  // partition under `limits`.
+  bool place_chain(const std::vector<int>& chain, pisa::StageFill& fill, bool fill_ok,
+                   bool raw_already, bool force_all_sp, const InstallLimits& limits,
+                   Installed& inst, std::vector<pisa::ProgramResources>* res);
   std::vector<std::size_t> partition_choices(const query::StreamNode& node, std::size_t max_p,
                                              bool force_all_sp) const;
   std::uint64_t estimate_overflow_keys(std::uint64_t k, std::size_t n, int d);
@@ -97,8 +111,20 @@ class ChainInstaller {
     std::map<std::size_t, pisa::RegisterSizing> registers;
     std::map<std::size_t, std::uint64_t> overflow_extra;  // op -> extra N
   };
-  const Sizing& sizing(int source, int prev, int level);
-  const pisa::ProgramResources& resources(int source, int prev, int level, std::size_t p);
+  // Everything an install reads of one transition (source, prev, level),
+  // kept together so a search node looks it up once: the refined node, its
+  // semantic max partition and cost, and, built on first use, the register
+  // sizing and the resources of each partition.
+  struct Step {
+    std::shared_ptr<query::StreamNode> node;
+    std::size_t max_p = 0;
+    const TransitionCost* cost = nullptr;
+    std::optional<Sizing> sizing;
+    std::vector<std::optional<pisa::ProgramResources>> resources;  // by partition
+  };
+  Step& step(int source, int prev, int level);
+  const Sizing& sizing(Step& st);
+  const pisa::ProgramResources& resources(Step& st, int source, int level, std::size_t p);
 
   const PlannerConfig* cfg_;
   const query::Query* q_;
@@ -106,10 +132,7 @@ class ChainInstaller {
   CostEstimator* est_;
   std::uint64_t window_packets_ = 0;
 
-  std::map<std::tuple<int, int, int>, std::shared_ptr<query::StreamNode>> node_cache_;
-  std::map<std::tuple<int, int, int>, std::size_t> max_partition_cache_;
-  std::map<std::tuple<int, int, int>, Sizing> sizing_cache_;
-  std::map<std::tuple<int, int, int, std::size_t>, pisa::ProgramResources> resource_cache_;
+  std::map<std::tuple<int, int, int>, Step> steps_;
   std::map<std::tuple<std::uint64_t, std::size_t, int>, std::uint64_t> overflow_cache_;
 };
 

@@ -103,13 +103,25 @@ class PlanBuilder {
       suffix_min[qi] = suffix_min[qi + 1] + min_cost[qi];
     }
 
-    // Branch and bound.
+    // Branch and bound over install costs, each depth on the stage fill
+    // its prefix left; the best chains are installed for real afterwards
+    // (an install depends only on its prefix, so these are the installs
+    // the search costed).
     best_objective_ = ~std::uint64_t{0};
-    std::vector<ProgramResources> res;
-    std::vector<PlannedQuery> chosen;
+    std::vector<pisa::StageFill> fills(queries_.size() + 1, pisa::StageFill(cfg_.switch_config));
+    std::vector<std::size_t> chosen;
     nodes_ = 0;
-    dfs(0, candidates, suffix_min, res, chosen, 0, false);
-    assert(!best_.empty() || queries_.empty());
+    dfs(0, candidates, suffix_min, fills, chosen, 0, false);
+    assert(best_chains_.size() == queries_.size());
+    std::vector<ProgramResources> res;
+    for (std::size_t qi = 0; qi < queries_.size(); ++qi) {
+      auto inst = installers_[qi]->install(candidates[qi][best_chains_[qi]], res, best_raw_,
+                                           /*force_all_sp=*/false);
+      assert(inst.has_value());
+      best_raw_ = best_raw_ || inst->raw;
+      best_.push_back(std::move(inst->pq));
+    }
+    best_resources_ = std::move(res);
 
     // The all-raw plan (mirror every packet once, all queries at the SP) is
     // always feasible and costs one window of packets. The per-pipeline
@@ -156,28 +168,25 @@ class PlanBuilder {
 
  private:
   void dfs(std::size_t qi, const std::vector<std::vector<std::vector<int>>>& candidates,
-           const std::vector<std::uint64_t>& suffix_min, std::vector<ProgramResources>& res,
-           std::vector<PlannedQuery>& chosen, std::uint64_t n, bool raw) {
-    if (nodes_ > cfg_.search_node_cap && !best_.empty()) return;
+           const std::vector<std::uint64_t>& suffix_min, std::vector<pisa::StageFill>& fills,
+           std::vector<std::size_t>& chosen, std::uint64_t n, bool raw) {
+    if (nodes_ > cfg_.search_node_cap && !best_chains_.empty()) return;
     ++nodes_;
     const std::uint64_t objective_so_far = n + (raw ? window_packets_ : 0);
     if (objective_so_far + suffix_min[qi] >= best_objective_) return;
     if (qi == queries_.size()) {
       best_objective_ = objective_so_far;
-      best_ = chosen;
-      best_resources_ = res;
-      best_raw_ = raw;
+      best_chains_ = chosen;
       return;
     }
-    for (const auto& chain : candidates[qi]) {
-      const std::size_t res_mark = res.size();
-      auto inst = installers_[qi]->install(chain, res, raw, /*force_all_sp=*/false);
+    for (std::size_t ci = 0; ci < candidates[qi].size(); ++ci) {
+      fills[qi + 1] = fills[qi];
+      auto inst = installers_[qi]->install_cost(candidates[qi][ci], fills[qi + 1], raw);
       assert(inst.has_value());  // unlimited installs always place (partition 0 fits)
-      chosen.push_back(std::move(inst->pq));
-      dfs(qi + 1, candidates, suffix_min, res, chosen, n + inst->n, raw || inst->raw);
+      chosen.push_back(ci);
+      dfs(qi + 1, candidates, suffix_min, fills, chosen, n + inst->n, raw || inst->raw);
       chosen.pop_back();
-      res.resize(res_mark);
-      if (nodes_ > cfg_.search_node_cap && !best_.empty()) return;
+      if (nodes_ > cfg_.search_node_cap && !best_chains_.empty()) return;
     }
   }
 
@@ -187,6 +196,7 @@ class PlanBuilder {
   std::uint64_t window_packets_ = 0;
 
   std::uint64_t best_objective_ = ~std::uint64_t{0};
+  std::vector<std::size_t> best_chains_;  // candidate index per query
   std::vector<PlannedQuery> best_;
   std::vector<ProgramResources> best_resources_;
   bool best_raw_ = false;
